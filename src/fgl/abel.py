@@ -23,7 +23,7 @@ from math import comb, factorial, gcd
 
 from .errors import DomainError, InternalInvariantError
 from .mpoly import Poly, Q, VarTable
-from .pseries import Series1, Series2
+from .pseries import Series1, Series2, series_add, series_eval, series_mul
 
 A12 = VarTable([("a1", 1), ("a2", 2)])
 UV = VarTable([("u", 1), ("v", 1)])
@@ -39,57 +39,6 @@ def _a2():
 
 
 # ---------------------------------------------------------------------------
-# bivariate helpers on dicts {(i, j): Poly} including the constant slot
-
-
-def _b_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out[k] + c if k in out else c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _b_neg(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
-
-
-def _b_mul(a: dict, b: dict, D: int) -> dict:
-    out: dict[tuple[int, int], Poly] = {}
-    for (i1, j1), c1 in a.items():
-        d1 = i1 + j1
-        if d1 > D:
-            continue
-        for (i2, j2), c2 in b.items():
-            if d1 + i2 + j2 > D:
-                continue
-            k = (i1 + i2, j1 + j2)
-            prod = c1 * c2
-            if k in out:
-                s = out[k] + prod
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = prod
-    return out
-
-
-def _b_eval_univ(rc: list[Poly], w: dict, D: int) -> dict:
-    """sum rc[k] * w^k truncated at total degree D (Horner)."""
-    acc: dict = {}
-    for k in range(len(rc) - 1, -1, -1):
-        acc = _b_mul(acc, w, D)
-        if not rc[k].is_zero():
-            acc = _b_add(acc, {(0, 0): rc[k]})
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # associativity-driven coefficients
 
 
@@ -100,41 +49,20 @@ def _assoc_residual(rc: list[Poly], D: int) -> dict:
                     - R(xR(y)+R(x)y) + R(x)R(y),
     truncated at total degree D.  G vanishes identically iff the a_n solve
     the identity through that degree."""
-    a1 = _a1()
-    half_a1 = a1.scale(Fraction(1, 2))
-    # univariate pieces in y (paired with the single x factor)
-    bracket: dict = {}
-    for k in range(1, len(rc)):
-        dk = rc[k].scale(k)  # R'(y) coefficient at y^(k-1)
-        if dk.is_zero():
-            continue
-        # R'(y) * (a1/2) y  -> degree k
-        if k <= D - 1:
-            bracket = _b_add(bracket, {(0, k): dk * half_a1})
-        # R'(y) * R(y)
-        for m in range(0, min(len(rc), D - k + 1)):
-            if k - 1 + m <= D - 1 and not rc[m].is_zero():
-                bracket = _b_add(bracket, {(0, k - 1 + m): dk * rc[m]})
-    for m in range(0, min(len(rc), D)):
-        if not rc[m].is_zero():
-            bracket = _b_add(bracket, {(0, m): -(half_a1 * rc[m])})
-    lhs = {(i + 1, j): c for (i, j), c in bracket.items() if i + j + 1 <= D}
-    # w = x R(y) + R(x) y
-    w: dict = {}
-    for k in range(0, min(len(rc), D)):
-        if rc[k].is_zero():
-            continue
-        w = _b_add(w, {(1, k): rc[k]})
-        w = _b_add(w, {(k, 1): rc[k]})
-    rhs = _b_eval_univ(rc, w, D)
-    rxry: dict = {}
-    for i in range(0, min(len(rc), D + 1)):
-        if rc[i].is_zero():
-            continue
-        for j in range(0, min(len(rc), D + 1 - i)):
-            if not rc[j].is_zero():
-                rxry = _b_add(rxry, {(i, j): rc[i] * rc[j]})
-    return _b_add(_b_add(lhs, _b_neg(rhs)), rxry)
+    half_a1 = _a1().scale(Fraction(1, 2))
+    rx = {(k, 0): c for k, c in enumerate(rc) if c}
+    ry = {(0, k): c for k, c in enumerate(rc) if c}
+    x_dry = {(1, k - 1): c.scale(k) for k, c in enumerate(rc) if k and c}  # x R'(y)
+    lhs = series_add(
+        series_mul(x_dry, series_add({(0, 1): half_a1}, ry), D),
+        {(1, k): -(half_a1 * c) for k, c in enumerate(rc) if c and k < D},
+    )
+    w = series_add(  # x R(y) + R(x) y
+        {(1, k): c for (_, k), c in ry.items() if k < D},
+        {(k, 1): c for (k, _), c in rx.items() if k < D},
+    )
+    rhs = series_eval(ry, {}, w, D)  # R(w)
+    return series_add(series_add(lhs, series_mul(rx, ry, D)), {ij: -c for ij, c in rhs.items()})
 
 
 def abel_coeffs_assoc(N: int) -> list[Poly]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DomainError, InternalInvariantError
-from .mpoly import Poly, Q, VarTable
+from .mpoly import Poly, Powers, Q, VarTable, require_prime
 from .pseries import Series1, _composition_term, weighted_partitions
 from .ratint import binom_valuation, solve_unique
 
@@ -70,7 +70,7 @@ class BPContext:
 
 @lru_cache(maxsize=None)
 def _context(p: int, n_max: int) -> BPContext:
-    return BPContext(p, n_max)
+    return BPContext(require_prime(p), n_max)
 
 
 def bp_log_recursive(p: int, n: int) -> list[Poly]:
@@ -138,15 +138,7 @@ def bp_fgl_coeff(p: int, i: int, j: int) -> Poly:
     if (i + j - 1) % (p - 1) != 0:
         return Poly.zero(Q, ctx.vars)
     lvars = VarTable([(f"l{r}", p**r - 1) for r in range(1, depth + 1)])
-    lpolys = [Poly.var(Q, lvars, f"l{r}") for r in range(1, depth + 1)]
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def lpow(r: int, k: int) -> Poly:
-        key = (r, k)
-        if key not in pow_cache:
-            pow_cache[key] = lpolys[r - 1] ** k
-        return pow_cache[key]
-
+    lpow = Powers([Poly.var(Q, lvars, f"l{r}") for r in range(1, depth + 1)])
     iweights = [p**r for r in range(0, depth + 1)]
     kweights = [p**r - 1 for r in range(1, depth + 1)]
     total = Poly.zero(Q, lvars)
@@ -236,21 +228,8 @@ def express_v_in_alphas(p: int, n: int, k_seq: list[int] | None = None) -> Poly:
     alpha_monomials = [
         exps for exps in weighted_partitions(target_w, gen_weights)
     ]
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def gen_pow(m: int, e: int) -> Poly:
-        key = (m, e)
-        if key not in pow_cache:
-            pow_cache[key] = expansions[m] ** e
-        return pow_cache[key]
-
-    expanded = []
-    for exps in alpha_monomials:
-        term = Poly.const(Q, ctx.vars, 1)
-        for m, e in enumerate(exps):
-            if e:
-                term = term * gen_pow(m, e)
-        expanded.append(term)
+    gen_pow = Powers(expansions)
+    expanded = [gen_pow.product(exps, Poly.const(Q, ctx.vars, 1)) for exps in alpha_monomials]
     v_monomials = sorted(weighted_partitions(target_w, list(ctx.vars.weights)))
     index = {exps: r for r, exps in enumerate(v_monomials)}
     a = [[Fraction(0)] * len(alpha_monomials) for _ in v_monomials]

@@ -19,7 +19,16 @@ from math import comb
 
 from .errors import DomainError, InternalInvariantError
 from .mpoly import Fp, Poly, Q, VarTable, Z
-from .pseries import Series1, Series2, _composition_term, fgl_from_log, weighted_partitions
+from .pseries import (
+    Series1,
+    Series2,
+    _composition_term,
+    fgl_from_log,
+    series_add,
+    series_eval,
+    series_mul,
+    weighted_partitions,
+)
 
 SCALARS = VarTable([])  # no polynomial variables: coefficients are numbers
 XY = VarTable([("x", 1), ("y", 1)])
@@ -150,83 +159,14 @@ def witt_symmetric(n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# mod-p bivariate engine (plain dicts {(i, j): int mod p})
+# mod-p series are plain dicts {(i, j): int mod p} on the pseries kernel
 
 
-def _m2_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = (out.get(k, 0) + c) % p
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _m2_mul(a: dict, b: dict, N: int, p: int) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in a.items():
-        d1 = i1 + j1
-        if d1 > N:
-            continue
-        for (i2, j2), c2 in b.items():
-            if d1 + i2 + j2 > N:
-                continue
-            k = (i1 + i2, j1 + j2)
-            v = (out.get(k, 0) + c1 * c2) % p
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _m2_pow(a: dict, n: int, N: int, p: int) -> dict:
-    result = {(0, 0): 1}
-    base = a
-    while n:
-        if n & 1:
-            result = _m2_mul(result, base, N, p)
-        n >>= 1
-        if n:
-            base = _m2_mul(base, base, N, p)
-    return result
-
-
-class _PowCache:
-    def __init__(self, base: dict, N: int, p: int):
-        self.powers = {0: {(0, 0): 1}, 1: base}
-        self.N = N
-        self.p = p
-
-    def get(self, n: int) -> dict:
-        top = max(self.powers)
-        while top < n:
-            self.powers[top + 1] = _m2_mul(self.powers[top], self.powers[1], self.N, self.p)
-            top += 1
-        return self.powers[n]
-
-
-def _m2_apply_fgl(cf: dict, A: dict, B: dict, N: int, p: int) -> dict:
-    """sum cf[(i,j)] * A^i * B^j truncated at N; A, B have no constant term."""
-    if not A or not B:
-        raise InternalInvariantError("empty argument series")
-    ma = min(i + j for i, j in A)
-    mb = min(i + j for i, j in B)
-    ca, cb = _PowCache(A, N, p), _PowCache(B, N, p)
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in sorted(cf.items()):
-        if i * ma + j * mb > N:
-            continue
-        term = _m2_mul(ca.get(i), cb.get(j), N, p) if j else ca.get(i)
-        for k, v in term.items():
-            w = (out.get(k, 0) + c * v) % p
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-    return out
+def _frobenius(d: dict, q: int, N: int) -> dict:
+    """d^q mod p truncated at N, for q a power of p: in characteristic p
+    raising to the q-th power multiplies every exponent by q and fixes the
+    coefficients (c^p = c in F_p)."""
+    return {(i * q, j * q): c for (i, j), c in d.items() if (i + j) * q <= N}
 
 
 @dataclass
@@ -253,7 +193,7 @@ def ravenel_weights(p: int, s: int, N: int) -> list[dict]:
     while p ** (m * s) <= N:
         wn = witt_symmetric(p**m).reduce_mod_p(p)
         raw = {(e[0], e[1]): c for e, c in wn.terms.items()}
-        ws.append(_m2_pow(raw, p ** (m * (s - 1)), N, p))
+        ws.append(_frobenius(raw, p ** (m * (s - 1)), N))
         m += 1
     return ws
 
@@ -271,7 +211,7 @@ def ravenel_fgl_modp(p: int, s: int, N: int) -> MoravaFGL:
         # single argument the fold is w_0 itself
         G = ws[0]
         for wm in ws[1:]:
-            G = _m2_apply_fgl(F, G, wm, N, p)
+            G = series_eval(F, G, wm, N, p)
         if G == F:
             return MoravaFGL(p, s, N, _raw_to_series2(G, p, N))
         F = G
@@ -326,7 +266,7 @@ def verify_wp_approx(p: int, s: int, N: int) -> ApproxReport:
     F = ravenel_fgl_modp(p, s, N).raw()
     approx = wp_approximant(p, s, N)
     bound = p ** (2 * (s - 1))
-    diff = _m2_add(F, {k: (-c) % p for k, c in approx.items()}, p)
+    diff = series_add(F, {k: -c for k, c in approx.items()}, p)
     offenders = [k for k in diff if k[0] < bound and k[1] < bound]
     ok = not offenders
     detail = f"mod (x^{bound}, y^{bound})"
@@ -338,10 +278,9 @@ def verify_wp_approx(p: int, s: int, N: int) -> ApproxReport:
 def bv_approximant(n: int, N: int) -> dict:
     """x + y + (xy + (x+y)(xy)^(2^(n-1)))^(2^(n-1)) mod 2, truncated at N."""
     q = 2 ** (n - 1)
-    xy = {(1, 1): 1}
     xpy = {(1, 0): 1, (0, 1): 1}
-    inner = _m2_add(xy, _m2_mul(xpy, _m2_pow(xy, q, N, 2), N, 2), 2)
-    return _m2_add({(1, 0): 1, (0, 1): 1}, _m2_pow(inner, q, N, 2), 2)
+    inner = series_add({(1, 1): 1}, series_mul(xpy, _frobenius({(1, 1): 1}, q, N), N, 2), 2)
+    return series_add(xpy, _frobenius(inner, q, N), 2)
 
 
 def _m2_leading(d: dict) -> tuple[int, int]:
@@ -380,12 +319,12 @@ def verify_bv_approx(n: int, N: int) -> ApproxReport:
         raise DomainError("need n >= 2")
     F = ravenel_fgl_modp(2, n, N).raw()
     approx = bv_approximant(n, N)
-    diff = _m2_add(F, approx, 2)  # char 2: subtraction = addition
-    big = 10**9  # the modulus is computed exactly, never truncated
-    gen = _m2_pow(_m2_mul({(1, 0): 1, (0, 1): 1}, {(1, 1): 1}, big, 2), 2 ** (2 * n - 2), big, 2)
-    gen_deg = 3 * 2 ** (2 * n - 2)
+    diff = series_add(F, approx, 2)  # char 2: subtraction = addition
+    q = 2 ** (2 * n - 2)
+    gen = {(2 * q, q): 1, (q, 2 * q): 1}  # ((x+y)xy)^q = (x^2 y + x y^2)^q mod 2
+    gen_deg = 3 * q
     ok = True
-    detail = f"mod ((x+y)xy)^{2 ** (2 * n - 2)} (degree {gen_deg})"
+    detail = f"mod ((x+y)xy)^{q} (degree {gen_deg})"
     if diff:
         low = [k for k in diff if k[0] + k[1] < gen_deg]
         if low:

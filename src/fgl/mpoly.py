@@ -9,7 +9,9 @@ zero coefficients are never stored.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -46,9 +48,9 @@ class Ring:
                     raise DomainError(f"{c} is not an integer")
                 return c.numerator
             return int(c)
-        # Fp: accept ints and p-local fractions
+        # Fp: accept ints and fractions whose denominator is a unit mod p
         if isinstance(c, Fraction):
-            if c.denominator % self.p == 0:
+            if gcd(c.denominator, self.p) != 1:
                 raise DomainError(f"{c} is not {self.p}-local")
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
         return int(c) % self.p
@@ -75,9 +77,16 @@ Z = Ring("Z")
 _fp_cache: dict[int, Ring] = {}
 
 
+def require_prime(p: int) -> int:
+    """Return p if it is a prime, else raise DomainError."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise DomainError(f"{p} is not a prime")
+    return p
+
+
 def Fp(p: int) -> Ring:
     if p not in _fp_cache:
-        _fp_cache[p] = Ring("Fp", p)
+        _fp_cache[p] = Ring("Fp", require_prime(p))
     return _fp_cache[p]
 
 
@@ -317,17 +326,9 @@ class Poly:
         if missing:
             raise DomainError(f"missing bindings for {sorted(missing)}")
         out = Poly.zero(target.ring, target.vars)
-        images = [bindings.get(name) for name in self.vars.names]
-        pow_cache: dict[tuple[int, int], Poly] = {}
+        images = Powers([bindings.get(name) for name in self.vars.names])
         for exps, c in self.terms.items():
-            term = Poly.const(target.ring, target.vars, target.ring.coerce(c))
-            for i, k in enumerate(exps):
-                if k:
-                    key = (i, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = images[i] ** k
-                    term = term * pow_cache[key]
-            out = out + term
+            out = out + images.product(exps, Poly.const(target.ring, target.vars, c))
         return out
 
     def reduce_mod_p(self, p: int) -> "Poly":
@@ -404,6 +405,33 @@ class Poly:
         for t in obj["terms"]:
             out = out + cls.monomial(ring, vars, Fraction(t["coeff"]), t["exps"])
         return out
+
+
+class Powers:
+    """Memoized positive powers ``powers(r, k) == bases[r] ** k`` of a fixed
+    list of bases, under the product ``mul``.  Each new power is one ``mul``
+    of the highest power held by the base, so asking for k = 1, 2, 3, ...
+    costs one product per step."""
+
+    __slots__ = ("bases", "mul", "held")
+
+    def __init__(self, bases, mul=operator.mul):
+        self.bases = bases
+        self.mul = mul
+        self.held: dict[int, list] = {}
+
+    def __call__(self, r: int, k: int):
+        held = self.held.setdefault(r, [self.bases[r]])
+        while len(held) < k:
+            held.append(self.mul(held[-1], self.bases[r]))
+        return held[k - 1]
+
+    def product(self, exps, acc):
+        """acc times bases[r] ** exps[r] for every r, left to right."""
+        for r, k in enumerate(exps):
+            if k:
+                acc = self.mul(acc, self(r, k))
+        return acc
 
 
 _ZERO = 0

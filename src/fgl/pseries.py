@@ -1,10 +1,13 @@
-"""Truncated formal power series in one or two variables with Poly
-coefficients, and the passage between formal group laws and their
-logarithms.
+"""Truncated formal power series in one or two variables, and the passage
+between formal group laws and their logarithms.
 
-Truncation degrees are explicit everywhere; no operation silently extends
-precision.  The trivariate expansion used by the associativity checker is
-internal to this module.
+The truncated-series kernel (``series_mul``, ``series_add``, ``series_eval``)
+is the one layer that multiplies, adds and evaluates sparse series in x, y
+cut at a total degree.  It works on dicts ``{(i, j): coeff}`` with Poly,
+Fraction or int coefficients, reducing ints mod p when given a modulus;
+``Series2``, the axioms checker, the Abel associativity residual and the
+Ravenel fixed point mod p all run on it.  Truncation degrees are explicit
+everywhere; no operation silently extends precision.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
-from .mpoly import Fp, Poly, Ring, VarTable
+from .mpoly import Fp, Poly, Powers, Ring, VarTable
 
 # ---------------------------------------------------------------------------
 # partition enumeration shared by the closed coefficient formulas
@@ -160,14 +163,7 @@ def comp_inverse(m: Series1) -> Series1:
         raise DomainError("series must have leading coefficient 1")
     ring, vars, N = m.ring, m.vars, m.N
     ms = m.cs[1:]  # ms[r-1] = m_r
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def mpow(r: int, k: int) -> Poly:
-        key = (r, k)
-        if key not in pow_cache:
-            pow_cache[key] = ms[r - 1] ** k
-        return pow_cache[key]
-
+    mpow = Powers(ms)
     cs = [Poly.const(ring, vars, 1)]
     for n in range(1, N):
         total = Poly.zero(ring, vars)
@@ -181,11 +177,7 @@ def comp_inverse(m: Series1) -> Series1:
             for k in ks:
                 if k:
                     coeff /= factorial(k)
-            term = Poly.const(ring, vars, coeff)
-            for r, k in enumerate(ks, start=1):
-                if k:
-                    term = term * mpow(r, k)
-            total = total + term
+            total = total + mpow.product(ks, Poly.const(ring, vars, coeff))
         cs.append(total)
     return Series1(ring, vars, N, cs)
 
@@ -209,6 +201,73 @@ def comp_inverse_iterative(m: Series1) -> Series1:
 
 
 # ---------------------------------------------------------------------------
+# the truncated-series kernel on dicts {(i, j): coeff}; with a modulus p the
+# int coefficients are reduced once per call, and zero coefficients are
+# never kept
+
+
+def _nonzero(cf: dict, p: int | None) -> dict:
+    if p is None:
+        return {ij: c for ij, c in cf.items() if c}
+    return {ij: r for ij, c in cf.items() if (r := c % p)}
+
+
+def series_mul(a: dict, b: dict, N: int, p: int | None = None) -> dict:
+    """a * b truncated at total degree N; constant terms are allowed."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        room = N - i1 - j1
+        if room < 0:
+            continue
+        for (i2, j2), c2 in b.items():
+            if i2 + j2 <= room:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return _nonzero(out, p)
+
+
+def series_add(a: dict, b: dict, p: int | None = None) -> dict:
+    """a + b, with no truncation."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return _nonzero(out, p)
+
+
+def _min_degree(a: dict, N: int) -> int:
+    return min((i + j for i, j in a), default=N + 1)
+
+
+def _power_slices(cf: dict, A: dict, mb: int, N: int, p: int | None) -> dict:
+    """{j: sum_i cf[(i, j)] * A^i} truncated at N, skipping each (i, j)
+    whose term A^i * B^j lies above degree N when B has minimal degree mb."""
+    ma = _min_degree(A, N)
+    powers = Powers([A], lambda a, b: series_mul(a, b, N, p))
+    slices: dict[int, dict] = {}
+    for (i, j), c in cf.items():
+        if i * ma + j * mb > N:
+            continue
+        out = slices.setdefault(j, {})
+        for k, v in (powers(0, i) if i else {(0, 0): 1}).items():
+            out[k] = out[k] + c * v if k in out else c * v
+    return {j: _nonzero(out, p) for j, out in slices.items()}
+
+
+def series_eval(cf: dict, A: dict, B: dict, N: int, p: int | None = None) -> dict:
+    """sum cf[(i, j)] * A^i * B^j truncated at N; A and B have no constant
+    term.  Powers of A are memoized and B enters by Horner's rule, so the
+    sparser argument goes second; f(B) for a univariate f is
+    series_eval({(0, k): f_k}, {}, B, N)."""
+    mb = _min_degree(B, N)
+    slices = _power_slices(cf, A, mb, N, p)
+    acc: dict = {}
+    for j in range(max(slices, default=0), -1, -1):
+        # acc is multiplied by B j more times, so only degrees <= N - j*mb count
+        acc = series_add(series_mul(B, acc, N - j * mb, p), slices.get(j, {}), p)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # bivariate truncated series
 
 
@@ -223,44 +282,15 @@ class Series2:
         self.N = N
         self.cf = {ij: c for ij, c in cf.items() if not c.is_zero()}
 
-    @classmethod
-    def zero(cls, ring: Ring, vars: VarTable, N: int) -> "Series2":
-        return cls(ring, vars, N, {})
-
     def coeff(self, i: int, j: int) -> Poly:
         return self.cf.get((i, j), Poly.zero(self.ring, self.vars))
-
-    def __add__(self, other: "Series2") -> "Series2":
-        N = min(self.N, other.N)
-        cf = {ij: c for ij, c in self.cf.items() if ij[0] + ij[1] <= N}
-        for ij, c in other.cf.items():
-            if ij[0] + ij[1] <= N:
-                cf[ij] = cf[ij] + c if ij in cf else c
-        return Series2(self.ring, self.vars, N, cf)
 
     def __eq__(self, other):
         return isinstance(other, Series2) and self.N == other.N and self.cf == other.cf
 
-    def scale(self, c: Poly) -> "Series2":
-        return Series2(self.ring, self.vars, self.N, {ij: c * v for ij, v in self.cf.items()})
-
     def mul(self, other: "Series2") -> "Series2":
         N = min(self.N, other.N)
-        cf: dict[tuple[int, int], Poly] = {}
-        for (i1, j1), c1 in self.cf.items():
-            d1 = i1 + j1
-            if d1 >= N:
-                continue
-            for (i2, j2), c2 in other.cf.items():
-                if d1 + i2 + j2 > N:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                cf[key] = cf[key] + prod if key in cf else prod
-        return Series2(self.ring, self.vars, N, cf)
-
-    def min_degree(self) -> int:
-        return min((i + j for i, j in self.cf), default=self.N + 1)
+        return Series2(self.ring, self.vars, N, series_mul(self.cf, other.cf, N))
 
     def swap(self) -> "Series2":
         return Series2(self.ring, self.vars, self.N, {(j, i): c for (i, j), c in self.cf.items()})
@@ -289,17 +319,8 @@ class Series2:
 
 def eval_series1_on_series2(f: Series1, arg: Series2) -> Series2:
     """f(arg), truncated at arg.N; arg has zero constant term."""
-    N = arg.N
-    mindeg = arg.min_degree()
-    kmax = min(f.N, N // mindeg) if mindeg <= N else 0
-    if kmax == 0:
-        return Series2.zero(arg.ring, arg.vars, N)
-    const = f.cs[kmax - 1]
-    body = Series2.zero(arg.ring, arg.vars, N)
-    for k in range(kmax - 1, 0, -1):
-        body = arg.mul(body) + arg.scale(const)
-        const = f.cs[k - 1]
-    return arg.mul(body) + arg.scale(const)
+    cf = {(0, k): c for k, c in enumerate(f.cs, start=1) if c}
+    return Series2(arg.ring, arg.vars, arg.N, series_eval(cf, {}, arg.cf, arg.N))
 
 
 def fgl_from_log(l: Series1, N: int) -> Series2:
@@ -330,14 +351,7 @@ def fgl_coeff_general(i: int, j: int, m: list[Poly]) -> Poly:
         raise DomainError("need m_1..m_(i+j-1)")
     ring, vars = m[0].ring, m[0].vars
     total = Poly.zero(ring, vars)
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def mpow(r: int, k: int) -> Poly:
-        key = (r, k)
-        if key not in pow_cache:
-            pow_cache[key] = m[r - 1] ** k
-        return pow_cache[key]
-
+    mpow = Powers(m)
     for ipart in weighted_partitions(i, list(range(1, i + 1))):
         for jpart in weighted_partitions(j, list(range(1, j + 1))):
             ktarget = sum(ipart) + sum(jpart) - 1
@@ -352,8 +366,8 @@ def _composition_term(ring, vars, ipart, jpart, kpart, factor_pow, den_base):
     """One summand of the closed coefficient formulas.
 
     ipart = (i_0, i_1, ...), jpart = (j_0, j_1, ...), kpart = (k_1, k_2, ...).
-    factor_pow(r, nu_r) supplies the r-th logarithm coefficient raised to
-    nu_r = i_r + j_r + k_r; if den_base is a prime p, an extra p^(r*nu_r)
+    factor_pow(r - 1, nu_r) supplies the r-th logarithm coefficient raised
+    to nu_r = i_r + j_r + k_r; if den_base is a prime p, an extra p^(r*nu_r)
     joins the denominator (the G(s) normalization).  Returns None when a
     logarithm coefficient factor is identically zero.
     """
@@ -376,7 +390,7 @@ def _composition_term(ring, vars, ipart, jpart, kpart, factor_pow, den_base):
             den *= den_base ** ((r + 1) * nu[r])
     coeff = Fraction(sign * factorial(T - 1), den)
     term = Poly.const(ring, vars, coeff)
-    for r, v in enumerate(nu, start=1):
+    for r, v in enumerate(nu):
         if v:
             p = factor_pow(r, v)
             if p.is_zero():
@@ -487,16 +501,14 @@ def check_fgl_axioms(F: Series2, N: int | None = None) -> AxiomReport:
         return rep
     # T = F(F(x,y), z); by commutativity F(x, F(y,z)) = T(y, z, x), so
     # associativity is invariance of T under the cycle (x,y,z) -> (y,z,x).
-    scalars = _try_scalar_coeffs(F)
-    if scalars is not None:
-        cf, add, mul, one_s = scalars
-    else:
-        cf = {ij: c for ij, c in F.cf.items()}
-        add = lambda a, b: a + b
-        mul = lambda a, b: a * b
-        one_s = one
-    lift = {(i, j, 0): v for (i, j), v in cf.items() if i + j <= N}
-    t = _t3_fgl_apply(cf, lift, N, add, mul, one_s)
+    # T = sum_k z^k T_k(x, y) with T_k = sum_i c_ik F^i.
+    cf, p = _scalar_coeffs(F)
+    t = {
+        (i, j, k): v
+        for k, tk in _power_slices(cf, cf, 1, N, p).items()
+        for (i, j), v in tk.items()
+        if i + j + k <= N
+    }
     perm = {(b, c, a): v for (a, b, c), v in t.items()}
     if t != perm:
         rep.associative_ok = False
@@ -507,70 +519,10 @@ def check_fgl_axioms(F: Series2, N: int | None = None) -> AxiomReport:
     return rep
 
 
-def _try_scalar_coeffs(F: Series2):
-    """If every coefficient of F is constant, return scalar ops for speed."""
-    cf = {}
-    for ij, c in F.cf.items():
-        v = c.constant_value()
-        if v is None:
-            return None
-        cf[ij] = v
-    if F.ring.kind == "Fp":
-        p = F.ring.p
-        return cf, (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p), 1
-    return cf, (lambda a, b: a + b), (lambda a, b: a * b), F.ring.coerce(1)
-
-
-def _is_zero_c(v) -> bool:
-    return v == 0 or (isinstance(v, Poly) and v.is_zero())
-
-
-def _t3_mul(a: dict, b: dict, N: int, add, mul) -> dict:
-    out: dict[tuple[int, int, int], object] = {}
-    for e1, c1 in a.items():
-        d1 = e1[0] + e1[1] + e1[2]
-        for e2, c2 in b.items():
-            if d1 + e2[0] + e2[1] + e2[2] > N:
-                continue
-            key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            v = mul(c1, c2)
-            if key in out:
-                s = add(out[key], v)
-                if _is_zero_c(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            elif not _is_zero_c(v):
-                out[key] = v
-    return out
-
-
-def _t3_fgl_apply(cf: dict, inner: dict, N: int, add, mul, one):
-    """sum cf[(i,j)] * inner^i * z^j as truncated trivariate dicts; inner is
-    a trivariate series in x, y and z is the bare third variable."""
-    mind = min((sum(e) for e in inner), default=N + 1)
-    powers: dict[int, dict] = {0: {(0, 0, 0): one}, 1: dict(inner)}
-
-    def inner_pow(i: int) -> dict:
-        if i not in powers:
-            powers[i] = _t3_mul(inner_pow(i - 1), inner, N, add, mul)
-        return powers[i]
-
-    out: dict = {}
-    for (i, j), c in sorted(cf.items()):
-        if i * mind + j > N:
-            continue
-        for e, v in inner_pow(i).items():
-            if sum(e) + j > N:
-                continue
-            key = (e[0], e[1], e[2] + j)
-            w = mul(c, v)
-            if key in out:
-                s = add(out[key], w)
-                if _is_zero_c(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            elif not _is_zero_c(w):
-                out[key] = w
-    return out
+def _scalar_coeffs(F: Series2):
+    """F's coefficients as scalars, with the modulus that reduces them, when
+    every coefficient is constant (faster); else F's Poly coefficients."""
+    cf = {ij: c.constant_value() for ij, c in F.cf.items()}
+    if None in cf.values():
+        return F.cf, None
+    return cf, F.ring.p

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .abel import A12, AbelContext
 from .errors import DomainError, InternalInvariantError
-from .mpoly import Poly, Q, VarTable
+from .mpoly import Poly, Powers, Q, VarTable
 from .pseries import Series1, weighted_partitions
 from .ratint import zlocal_kernel
 
@@ -176,24 +176,12 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
     the F_p quotient by products of lower-weight minimal relations with
     monomials (graded Nakayama).  The Lambda-rank at weight w is
     monomial_count - kernel_dim."""
+    if max_weight < 1:
+        raise DomainError("need max_weight >= 1")
     cm = classify_v_images(p, n_max)
     vvars = _v_vartable(p, n_max)
     vweights = list(vvars.weights)
-    pow_cache: dict[tuple[int, int], Poly] = {}
-
-    def image_power(k: int, e: int) -> Poly:
-        key = (k, e)
-        if key not in pow_cache:
-            pow_cache[key] = cm.images[k - 1] ** e
-        return pow_cache[key]
-
-    def monomial_image(exps: tuple[int, ...]) -> Poly:
-        acc = Poly.const(Q, A12, 1)
-        for k, e in enumerate(exps, start=1):
-            if e:
-                acc = acc * image_power(k, e)
-        return acc
-
+    images = Powers(cm.images)
     reports: dict[int, WeightReport] = {}
     minimal_store: list[RelationEntry] = []
     for w in range(1, max_weight + 1):
@@ -202,7 +190,7 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
         aindex = {ab: r for r, ab in enumerate(abasis)}
         matrix = [[Fraction(0)] * len(monomials) for _ in abasis]
         for col, exps in enumerate(monomials):
-            img = monomial_image(exps)
+            img = images.product(exps, Poly.const(Q, A12, 1))
             for e, c in img.terms.items():
                 matrix[aindex[(e[0], e[1])]][col] = c
         kernel = zlocal_kernel(matrix, p)

@@ -70,9 +70,29 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_domain_error_exit_1(capsys):
-    code, out, err = _run(capsys, "morava", "approx", "--kind", "wp", "--height", "1", "--degree", "8")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "morava approx --kind wp --height 1 --degree 8",
+        "morava fgl --prime 6 --height 1 --degree 12",
+        "morava fgl --prime 4 --height 1 --degree 8 --method rational",
+        "bp log --prime 4 --upto 3",
+        "ptypical kernel --max-weight 0",
+        "ptypical conjecture --max-weight 0",
+    ],
+    ids=[
+        "wp-height-1",
+        "ravenel-prime-6",
+        "rational-prime-4",
+        "bp-prime-4",
+        "kernel-weight-0",
+        "conjecture-weight-0",
+    ],
+)
+def test_domain_error_exit_1(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
     assert code == 1
+    assert out == ""
     assert "error:" in err
 
 

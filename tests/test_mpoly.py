@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fgl.errors import DomainError
-from fgl.mpoly import Fp, Poly, Q, VarTable, Z, parse_poly
+from fgl.mpoly import Fp, Poly, Q, Ring, VarTable, Z, parse_poly
 
 
 XY = VarTable([("x", 1), ("y", 1)])
@@ -106,6 +106,10 @@ def test_reduce_mod_p():
     assert (-a1).reduce_mod_p(2) == Poly.var(Fp(2), A12, "a1")
     with pytest.raises(DomainError):
         a1.scale(Fraction(1, 2)).reduce_mod_p(2)
+    with pytest.raises(DomainError):
+        Fp(4)
+    with pytest.raises(DomainError):
+        Ring("Fp", 6).coerce(Fraction(1, 4))
 
 
 def test_reduce_mod_p_commutes_with_ring_ops():

@@ -14,7 +14,10 @@ from fgl.pseries import (
     fgl_coeff_general,
     fgl_from_log,
     log_from_fgl,
+    series_add,
     series_compose,
+    series_eval,
+    series_mul,
 )
 
 M3 = VarTable([("m1", 1), ("m2", 2), ("m3", 3)])
@@ -166,6 +169,7 @@ def test_check_fgl_axioms_associativity_failure():
     F = Series2(Q, EMPTY, 5, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
     rep = check_fgl_axioms(F)
     assert rep.unit_ok and rep.commutative_ok and not rep.associative_ok
+    assert rep.failures == ["associativity: first mismatch at x^1 y^1 z^3"]
     assert check_fgl_axioms(F, N=4).ok
 
 
@@ -185,6 +189,97 @@ def test_homogeneity_of_fgl_coefficients():
     for (i, j), c in F.cf.items():
         if i + j >= 2:
             assert c.weight() == i + j - 1, (i, j, c)
+
+
+# The kernel is checked against Poly arithmetic, which is separate code: a
+# series {(i, j): c} becomes one polynomial in x, y and the coefficient
+# variables m1, m2, m3, multiplied by Poly.__mul__ and then cut at degree N.
+XYM = VarTable([("x", 1), ("y", 1), ("m1", 1), ("m2", 2), ("m3", 3)])
+
+KERNEL_KINDS = {
+    "mod2": (2, lambda rng: rng.randint(-3, 3)),
+    "mod3": (3, lambda rng: rng.randint(-5, 5)),
+    "fraction": (None, lambda rng: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))),
+    "poly": (None, lambda rng: _random_poly(rng, M3)),
+}
+
+
+def _as_poly(cf, p):
+    terms = {}
+    for (i, j), c in cf.items():
+        for e, v in c.terms.items() if isinstance(c, Poly) else [((0, 0, 0), c)]:
+            terms[(i, j) + e] = v % p if p else v
+    return Poly(Fp(p) if p else Q, XYM, terms)
+
+
+def _truncated(poly, N):
+    return {e: c for e, c in poly.terms.items() if e[0] + e[1] <= N}
+
+
+def _random_series(rng, draw, N, density=0.5):
+    return {
+        (i, j): draw(rng)
+        for i in range(N + 1)
+        for j in range(N + 1 - i)
+        if (i or j) and rng.random() < density
+    }
+
+
+def _check_kernel_output(out, p):
+    assert all(out.values())  # no zero coefficient is kept
+    if p:
+        assert all(0 < c < p for c in out.values())
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
+def test_series_mul_add_match_poly_arithmetic(kind):
+    p, draw = KERNEL_KINDS[kind]
+    rng = random.Random(kind)
+    for N in range(1, 8):
+        for _ in range(4):
+            # a constant term, as in the Abel residual, on one or both factors
+            a = {(0, 0): draw(rng), **_random_series(rng, draw, N)}
+            b = _random_series(rng, draw, N)
+            if rng.random() < 0.5:
+                b[(0, 0)] = draw(rng)
+            prod = series_mul(a, b, N, p)
+            _check_kernel_output(prod, p)
+            assert _as_poly(prod, p).terms == _truncated(_as_poly(a, p) * _as_poly(b, p), N)
+            total = series_add(a, b, p)
+            _check_kernel_output(total, p)
+            assert _as_poly(total, p) == _as_poly(a, p) + _as_poly(b, p)
+
+
+def test_series_mul_truncation_boundary():
+    # (1 + x)(x^2 y + y^4): x^3 y lands on degree N = 4, x y^4 just above it
+    a = {(0, 0): 1, (1, 0): 1}
+    b = {(2, 1): 1, (0, 4): 1}
+    assert series_mul(a, b, 4) == {(2, 1): 1, (3, 1): 1, (0, 4): 1}
+    assert series_mul(a, b, 3) == {(2, 1): 1}
+    assert series_mul(a, {(2, 1): 2, (0, 4): 1}, 4, 2) == {(0, 4): 1}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
+def test_series_eval_matches_poly_products(kind):
+    p, draw = KERNEL_KINDS[kind]
+    rng = random.Random("eval " + kind)
+    ring = Fp(p) if p else Q
+    for N in range(1, 6):
+        cf = _random_series(rng, draw, N)
+        A = _random_series(rng, draw, N, density=0.3)
+        B = _random_series(rng, draw, N, density=0.3)
+        out = series_eval(cf, A, B, N, p)
+        _check_kernel_output(out, p)
+        pa, pb = _as_poly(A, p), _as_poly(B, p)
+        expect = Poly.zero(ring, XYM)
+        for (i, j), c in cf.items():
+            term = _as_poly({(0, 0): c}, p)
+            for _ in range(i):
+                term = Poly(ring, XYM, _truncated(term * pa, N))
+            for _ in range(j):
+                term = Poly(ring, XYM, _truncated(term * pb, N))
+            expect = expect + term
+        assert _as_poly(out, p) == expect
 
 
 def _random_poly(rng, vars):
