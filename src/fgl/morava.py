@@ -23,6 +23,7 @@ from .pseries import (
     Series1,
     Series2,
     _composition_term,
+    _frobenius,
     fgl_from_log,
     series_add,
     series_eval,
@@ -162,13 +163,6 @@ def witt_symmetric(n: int) -> Poly:
 # mod-p series are plain dicts {(i, j): int mod p} on the pseries kernel
 
 
-def _frobenius(d: dict, q: int, N: int) -> dict:
-    """d^q mod p truncated at N, for q a power of p: in characteristic p
-    raising to the q-th power multiplies every exponent by q and fixes the
-    coefficients (c^p = c in F_p)."""
-    return {(i * q, j * q): c for (i, j), c in d.items() if (i + j) * q <= N}
-
-
 @dataclass
 class MoravaFGL:
     """The K(s)-type formal group law mod p at height s, truncated at N."""
@@ -180,10 +174,6 @@ class MoravaFGL:
 
     def raw(self) -> dict:
         return {ij: c.constant_value() for ij, c in self.series.cf.items()}
-
-    def coeff_int(self, i: int, j: int) -> int:
-        c = self.series.coeff(i, j).constant_value()
-        return 0 if c is None else c
 
 
 def ravenel_weights(p: int, s: int, N: int) -> list[dict]:
@@ -201,18 +191,33 @@ def ravenel_weights(p: int, s: int, N: int) -> list[dict]:
 def ravenel_fgl_modp(p: int, s: int, N: int) -> MoravaFGL:
     """Fixed-point computation of the mod-p formal group law from the
     Ravenel relation, starting at x + y and applying the left-nested
-    combination of the w_m until the truncated series stabilizes."""
+    combination of the w_m until the truncated series stabilizes.
+
+    Pass k runs at truncation T_k = min(N, p^(s-1) T_(k-1) + p^s - 1), with
+    T_0 = 1, and the loop exits only when T == N and the pass returns its
+    input.  Any schedule is sound: the degree-d slice of the right side
+    depends only on slices of F below d, because a degree-d coefficient
+    c_ij of F multiplies a term of degree above d whenever some w_m with
+    m >= 1 enters it, and c_(d,0) = c_(0,d) = 0 for d > 1.  So the fixed
+    point at full N is unique, and a schedule that grows T too fast costs
+    passes, never correctness."""
     if s < 1:
         raise DomainError("need s >= 1")
+    if N < 1:
+        raise DomainError("need N >= 1")
     ws = ravenel_weights(p, s, N)
+    schedule, T = [], 1
+    while T < N:
+        T = min(N, p ** (s - 1) * T + p**s - 1)
+        schedule.append(T)
     F = {(1, 0): 1, (0, 1): 1}
-    for _ in range(N + 2):
+    for T in schedule + [N] * (N + 2):
         # left-nested combination F(...F(F(w_0, w_1), w_2)..., w_M); with a
         # single argument the fold is w_0 itself
         G = ws[0]
         for wm in ws[1:]:
-            G = series_eval(F, G, wm, N, p)
-        if G == F:
+            G = series_eval(F, G, wm, T, p)
+        if T == N and G == F:
             return MoravaFGL(p, s, N, _raw_to_series2(G, p, N))
         F = G
     raise InternalInvariantError("Ravenel iteration did not converge")

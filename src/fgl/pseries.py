@@ -238,17 +238,42 @@ def _min_degree(a: dict, N: int) -> int:
     return min((i + j for i, j in a), default=N + 1)
 
 
+def _frobenius(d: dict, q: int, N: int) -> dict:
+    """d^q mod p truncated at N, for q a power of p: in characteristic p
+    raising to the q-th power multiplies every exponent by q and fixes the
+    coefficients (c^p = c in F_p)."""
+    return {(i * q, j * q): c for (i, j), c in d.items() if (i + j) * q <= N}
+
+
 def _power_slices(cf: dict, A: dict, mb: int, N: int, p: int | None) -> dict:
     """{j: sum_i cf[(i, j)] * A^i} truncated at N, skipping each (i, j)
-    whose term A^i * B^j lies above degree N when B has minimal degree mb."""
+    whose term A^i * B^j lies above degree N when B has minimal degree mb.
+    Only the powers of A that cf asks for are built; mod p they come from
+    A^i = frob(A^(i div p)) * A^(i mod p), one product per base-p digit."""
     ma = _min_degree(A, N)
-    powers = Powers([A], lambda a, b: series_mul(a, b, N, p))
+    if p is None:
+        powers = Powers([A], lambda a, b: series_mul(a, b, N))
+
+        def power(i):
+            return powers(0, i) if i else {(0, 0): 1}
+    else:
+        memo = {0: {(0, 0): 1}, 1: A}
+
+        def power(i):
+            if i not in memo:
+                q, r = divmod(i, p)
+                if q:
+                    memo[i] = series_mul(_frobenius(power(q), p, N), power(r), N, p)
+                else:
+                    memo[i] = series_mul(power(i - 1), A, N, p)
+            return memo[i]
+
     slices: dict[int, dict] = {}
     for (i, j), c in cf.items():
         if i * ma + j * mb > N:
             continue
         out = slices.setdefault(j, {})
-        for k, v in (powers(0, i) if i else {(0, 0): 1}).items():
+        for k, v in power(i).items():
             out[k] = out[k] + c * v if k in out else c * v
     return {j: _nonzero(out, p) for j, out in slices.items()}
 
@@ -257,7 +282,9 @@ def series_eval(cf: dict, A: dict, B: dict, N: int, p: int | None = None) -> dic
     """sum cf[(i, j)] * A^i * B^j truncated at N; A and B have no constant
     term.  Powers of A are memoized and B enters by Horner's rule, so the
     sparser argument goes second; f(B) for a univariate f is
-    series_eval({(0, k): f_k}, {}, B, N)."""
+    series_eval({(0, k): f_k}, {}, B, N).  A modulus p means the
+    coefficients are ints mod the prime p; powers of A then use the
+    Frobenius map A^(p m) = frob(A^m)."""
     mb = _min_degree(B, N)
     slices = _power_slices(cf, A, mb, N, p)
     acc: dict = {}
@@ -291,9 +318,6 @@ class Series2:
     def mul(self, other: "Series2") -> "Series2":
         N = min(self.N, other.N)
         return Series2(self.ring, self.vars, N, series_mul(self.cf, other.cf, N))
-
-    def swap(self) -> "Series2":
-        return Series2(self.ring, self.vars, self.N, {(j, i): c for (i, j), c in self.cf.items()})
 
     def reduce_mod_p(self, p: int) -> "Series2":
         return Series2(Fp(p), self.vars, self.N, {ij: c.reduce_mod_p(p) for ij, c in self.cf.items()})

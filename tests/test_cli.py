@@ -79,6 +79,10 @@ def test_usage_error_exit_2(capsys):
         "bp log --prime 4 --upto 3",
         "ptypical kernel --max-weight 0",
         "ptypical conjecture --max-weight 0",
+        "morava fgl --prime 2 --height 1 --degree 0",
+        "morava fgl --prime 2 --height 1 --degree -4",
+        "morava approx --kind wp --prime 2 --height 2 --degree 0",
+        "morava approx --kind bv --height 2 --degree -1",
     ],
     ids=[
         "wp-height-1",
@@ -87,6 +91,10 @@ def test_usage_error_exit_2(capsys):
         "bp-prime-4",
         "kernel-weight-0",
         "conjecture-weight-0",
+        "ravenel-degree-0",
+        "ravenel-degree-negative",
+        "wp-degree-0",
+        "bv-degree-negative",
     ],
 )
 def test_domain_error_exit_1(capsys, argv):

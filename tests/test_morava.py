@@ -135,12 +135,15 @@ def test_ravenel_p3_s2_published_terms():
 
 
 def test_ravenel_equals_rational_oracle():
-    for p, s, N in ((2, 1, 16), (2, 2, 24), (3, 1, 15), (3, 2, 20)):
+    # p = 5, 7 and height 2 at p = 3 lie outside the deep_modp benchmark grid
+    cells = ((2, 1, 16), (2, 2, 24), (3, 1, 15), (3, 2, 20), (5, 1, 30), (7, 1, 30), (3, 2, 32))
+    for p, s, N in cells:
         assert ravenel_fgl_modp(p, s, N).series == morava_from_rational(p, s, N), (p, s, N)
 
 
 def test_morava_axioms():
-    for p, s, N in ((2, 1, 16), (2, 2, 24), (3, 1, 15)):
+    # (2, 2, 150) is in a band that has no affordable rational oracle
+    for p, s, N in ((2, 1, 16), (2, 2, 24), (3, 1, 15), (2, 2, 150)):
         rep = check_fgl_axioms(ravenel_fgl_modp(p, s, N).series)
         assert rep.ok, (p, s, rep.failures)
 

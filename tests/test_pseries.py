@@ -8,6 +8,7 @@ from fgl.mpoly import Fp, Poly, Q, VarTable
 from fgl.pseries import (
     Series1,
     Series2,
+    _nonzero,
     check_fgl_axioms,
     comp_inverse,
     comp_inverse_iterative,
@@ -280,6 +281,24 @@ def test_series_eval_matches_poly_products(kind):
                 term = Poly(ring, XYM, _truncated(term * pb, N))
             expect = expect + term
         assert _as_poly(out, p) == expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_series_eval_frobenius_path_matches_integer_route(p):
+    # mod p, A^i = frob(A^(i div p)) * A^(i mod p); exponents from p^2 up
+    # give nested Frobenius steps, with and without a remainder factor
+    rng = random.Random(f"frobenius {p}")
+    N = p * p + p + 2
+
+    def draw():
+        return rng.randint(-3 * p, 3 * p)
+
+    for _ in range(3):
+        exps = [0, 1, p - 1, p, p * p, p * p + 1, p * p + p + 1] + rng.sample(range(2, N), 3)
+        cf = {(i, rng.randint(0, 1)): draw() for i in exps}
+        A = {(1, 0): draw(), (0, 1): draw(), (1, 1): draw(), (2, 1): draw()}
+        B = {(0, 1): draw(), (1, 2): draw()}
+        assert series_eval(cf, A, B, N, p) == _nonzero(series_eval(cf, A, B, N), p)
 
 
 def _random_poly(rng, vars):
