@@ -197,7 +197,7 @@ def abel_log_integral(N: int, a_coeffs: list[Poly] | None = None) -> list[Poly]:
     """m_1..m_N from log(x) = integral of dt / (1 + a1 t + a2 t^2 + ...):
     series reciprocal of omega, then termwise integration."""
     if a_coeffs is None:
-        a_coeffs = [_a1(), _a2()] + abel_coeffs_closed(N)[1:]
+        a_coeffs = [_a1(), _a2()] + abel_coeffs_closed(max(N, 2))[1:]
     w = [Poly.const(Q, A12, 1)] + list(a_coeffs[:N])
     b = [Poly.const(Q, A12, 1)]
     for k in range(1, N + 1):
@@ -207,6 +207,15 @@ def abel_log_integral(N: int, a_coeffs: list[Poly] | None = None) -> list[Poly]:
                 acc = acc + w[i] * b[k - i]
         b.append(-acc)
     return [b[k].scale(Fraction(1, k + 1)) for k in range(1, N + 1)]
+
+
+def abel_log(N: int, method: str = "integral") -> list[Poly]:
+    """m_1..m_N by the integral, the product formula or (in u, v) abel_log_uv."""
+    if N < 1:
+        raise DomainError("need N >= 1")
+    if method == "product":
+        return [abel_log_product(n) for n in range(2, N + 2)]
+    return abel_log_uv(N + 1)[1:] if method == "uv" else abel_log_integral(N)
 
 
 def abel_log_product(n: int) -> Poly:

@@ -114,7 +114,8 @@ def bp_summand_count(p: int, n: int) -> int:
 
 
 def _depth_for(p: int, w: int) -> int:
-    """Largest r with p^r - 1 <= w, at least 1."""
+    """Largest r with p^r - 1 <= w, at least 1; p must be a prime."""
+    require_prime(p)
     r = 1
     while p ** (r + 1) - 1 <= w:
         r += 1

@@ -20,6 +20,15 @@ from .errors import DomainError, InternalInvariantError
 from .mpoly import Q, parse_poly
 
 
+# argument types; argparse turns their ValueError into a usage error (exit 2)
+def integers(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def pairs(text: str) -> list[tuple[int, int]]:
+    return [(k, l) for k, l in map(integers, text.split(";"))]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fgl", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
@@ -44,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bp_sub.add_parser("express-v", parents=[common], help="v_n through the alpha generators")
     q.add_argument("--prime", type=int, required=True)
     q.add_argument("-n", type=int, required=True)
-    q.add_argument("--k-seq", help="comma-separated k_m choices, default all 1")
+    q.add_argument("--k-seq", type=integers, help="comma-separated k_m choices, default all 1")
 
     p_mo = sub.add_parser("morava", help="G(s) / K(s) formal group laws")
     mo_sub = p_mo.add_subparsers(dest="subcommand", required=True)
@@ -73,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--upto", type=int, required=True)
     q = ab_sub.add_parser("membership", parents=[common], help="sample the coefficient-ring criterion")
     q.add_argument("--poly", required=True, help="symmetric polynomial in a, b")
-    q.add_argument("--pairs", required=True, help="semicolon-separated k,l pairs, e.g. '2,1;3,0'")
+    q.add_argument(
+        "--pairs", type=pairs, required=True, help="semicolon-separated k,l pairs, e.g. '2,1;3,0'"
+    )
 
     p_pt = sub.add_parser("ptypical", help="2-typification of the Abel law")
     pt_sub = p_pt.add_subparsers(dest="subcommand", required=True)
@@ -122,8 +133,7 @@ def _run_bp(ns) -> tuple[int, str]:
             return 0, json.dumps(a.to_json_obj(), indent=2) + "\n"
         return 0, _poly_lines([(f"alpha_{ns.i}_{ns.j}", a)])
     if ns.subcommand == "express-v":
-        k_seq = [int(x) for x in ns.k_seq.split(",")] if ns.k_seq else None
-        e = bp.express_v_in_alphas(ns.prime, ns.n, k_seq)
+        e = bp.express_v_in_alphas(ns.prime, ns.n, ns.k_seq)
         if ns.format == "json":
             return 0, json.dumps(e.to_json_obj(), indent=2) + "\n"
         return 0, _poly_lines([(f"v_{ns.n}", e)])
@@ -183,12 +193,7 @@ def _run_abel(ns) -> tuple[int, str]:
             return 0, json.dumps([c.to_json_obj() for c in coeffs], indent=2) + "\n"
         return 0, _poly_lines((f"a_{n}", c) for n, c in enumerate(coeffs, start=3))
     if ns.subcommand == "log":
-        if ns.method == "integral":
-            ms = abel.abel_log_integral(ns.upto)
-        elif ns.method == "product":
-            ms = [abel.abel_log_product(k + 1) for k in range(1, ns.upto + 1)]
-        else:
-            ms = abel.abel_log_uv(ns.upto + 1)[1:]
+        ms = abel.abel_log(ns.upto, ns.method)
         if ns.format == "json":
             return 0, json.dumps([m.to_json_obj() for m in ms], indent=2) + "\n"
         return 0, _poly_lines((f"m_{k}", m) for k, m in enumerate(ms, start=1))
@@ -198,12 +203,7 @@ def _run_abel(ns) -> tuple[int, str]:
             return 0, json.dumps([c.to_json_obj() for c in series.cs], indent=2) + "\n"
         return 0, f"exp(t) = {series}\n"
     if ns.subcommand == "membership":
-        f = parse_poly(ns.poly, Q, abel.AB)
-        pairs = []
-        for chunk in ns.pairs.split(";"):
-            k, l = chunk.split(",")
-            pairs.append((int(k), int(l)))
-        rep = abel.lambda_membership_sample(f, pairs)
+        rep = abel.lambda_membership_sample(parse_poly(ns.poly, Q, abel.AB), ns.pairs)
         if ns.format == "json":
             obj = {
                 "symmetric": rep.symmetric,

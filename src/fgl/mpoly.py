@@ -64,9 +64,6 @@ class Ring:
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
 
-    def scalar_str(self, c) -> str:
-        return str(c)
-
     def json_tag(self) -> str:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
@@ -482,9 +479,14 @@ def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:
             if not factor:
                 raise DomainError(f"malformed term in {text!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except (ValueError, ZeroDivisionError):
+                    raise DomainError(f"bad coefficient {factor!r} in {text!r}") from None
             else:
-                name, _, k = factor.partition("^")
-                exps[name] = exps.get(name, 0) + (int(k) if k else 1)
+                name, caret, k = factor.partition("^")
+                if caret and not k.isdecimal():
+                    raise DomainError(f"bad exponent in {factor!r} of {text!r}")
+                exps[name] = exps.get(name, 0) + (int(k) if caret else 1)
         out = out + Poly.monomial(ring, vars, coeff, exps)
     return out

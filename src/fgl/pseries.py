@@ -37,11 +37,6 @@ def weighted_partitions(total: int, weights: list[int]):
             yield rest + (mult,)
 
 
-def all_partitions(n: int):
-    """Multiplicity vectors (k_1, ..., k_n) with sum(r * k_r) == n."""
-    return weighted_partitions(n, list(range(1, n + 1)))
-
-
 # ---------------------------------------------------------------------------
 # univariate truncated series
 
@@ -152,33 +147,36 @@ def series_compose(f: Series1, g: Series1) -> Series1:
 
 def comp_inverse(m: Series1) -> Series1:
     """Composition inverse of a logarithm-shaped series by the explicit
-    multinomial sum over k_1 + 2*k_2 + ... = n:
+    multinomial sum over k_1 + 2*k_2 + ... = n, with K = k_1 + k_2 + ...:
 
-        e_n = sum (-1)^(k_1+k_2+...) (n+k_1+k_2+...)! / ((n+1)! k_1! k_2! ...)
-                  * m_1^(k_1) * m_2^(k_2) * ...
+        e_n = sum (-1)^K (n+K)! / ((n+1)! k_1! k_2! ...) * m_1^(k_1) * m_2^(k_2) * ...
 
-    where m_r is the coefficient of t^(r+1) and e_n that of t^(n+1).
+    where m_r is the coefficient of t^(r+1) and e_n that of t^(n+1).  Grouped
+    by part count: taking the sizes r with m_r != 0 in increasing order,
+    S[(K, w)] sums prod m_r^(k_r) / k_r! over the partitions of w < N into K
+    parts of the sizes taken so far, and e_w = sum_K (-1)^K (w+K)!/(w+1)!
+    S[(K, w)].  No power of the series m is formed, so comp_inverse_iterative,
+    which solves e(m(t)) = t from those powers, stays an independent oracle.
     """
     if not m.is_log_shaped():
         raise DomainError("series must have leading coefficient 1")
     ring, vars, N = m.ring, m.vars, m.N
-    ms = m.cs[1:]  # ms[r-1] = m_r
-    mpow = Powers(ms)
-    cs = [Poly.const(ring, vars, 1)]
-    for n in range(1, N):
-        total = Poly.zero(ring, vars)
-        for ks in all_partitions(n):
-            if any(k and ms[r - 1].is_zero() for r, k in enumerate(ks, start=1)):
-                continue
-            ksum = sum(ks)
-            coeff = Fraction(factorial(n + ksum), factorial(n + 1))
-            if ksum % 2:
-                coeff = -coeff
-            for k in ks:
-                if k:
-                    coeff /= factorial(k)
-            total = total + mpow.product(ks, Poly.const(ring, vars, coeff))
-        cs.append(total)
+    one = Poly.const(ring, vars, 1)
+    S = {(0, 0): one}
+    for r, mr in enumerate(m.cs[1:], start=1):
+        if mr.is_zero():
+            continue
+        powers = [one]  # powers[k] = m_r^k / k!
+        for k in range(1, (N - 1) // r + 1):
+            powers.append((powers[-1] * mr).scale(Fraction(1, k)))
+        for (K, w), s in list(S.items()):
+            for k in range(1, (N - 1 - w) // r + 1):
+                key, term = (K + k, w + k * r), s * powers[k]
+                S[key] = S[key] + term if key in S else term
+    cs = [Poly.zero(ring, vars)] * N
+    for (K, w), s in S.items():
+        c = Fraction(factorial(w + K), factorial(w + 1))
+        cs[w] = cs[w] + s.scale(-c if K % 2 else c)
     return Series1(ring, vars, N, cs)
 
 
@@ -470,9 +468,6 @@ class FGLTable:
 
     def coeff(self, i: int, j: int) -> Poly:
         return self.entries.get((i, j))
-
-    def to_series2(self, ring: Ring, vars: VarTable) -> Series2:
-        return Series2(ring, vars, self.N, dict(self.entries))
 
 
 @dataclass

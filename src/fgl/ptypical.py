@@ -463,6 +463,8 @@ def _iser_one_plus(k: int, T: int) -> list[int]:
 
 def _weights_upto(T: int) -> list[int]:
     """2^n - 1 for n >= 2 with 2^n - 1 <= T."""
+    if T < 0:
+        raise DomainError("need T >= 0")
     out = []
     n = 2
     while 2**n - 1 <= T:

@@ -1,8 +1,6 @@
 """Exact scalars, p-adic valuations, and integer-lattice linear algebra.
 
-Rational numbers are ``fractions.Fraction`` (always reduced, exact); this
-module re-exports it as ``Rational`` so the rest of the package has a single
-name for the universal scalar.
+Rational numbers are plain ``fractions.Fraction`` (always reduced, exact).
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DomainError
-
-Rational = Fraction
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -85,12 +81,6 @@ class IntMatrix:
         if any(len(row) != c for row in rows):
             raise DomainError("ragged rows")
         return cls(r, c, tuple(x for row in rows for x in row))
-
-    def row(self, i: int) -> list[int]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
 
 
 def kernel_basis(m: IntMatrix) -> list[list[int]]:

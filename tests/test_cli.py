@@ -73,6 +73,25 @@ def test_usage_error_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["abel", "membership", "--poly", "a", "--pairs", "2"],
+        ["abel", "membership", "--poly", "a", "--pairs", ""],
+        ["abel", "membership", "--poly", "a", "--pairs", "2,1;"],
+        ["bp", "express-v", "--prime", "2", "-n", "2", "--k-seq", "1,x"],
+    ],
+    ids=["pairs-no-comma", "pairs-empty", "pairs-trailing-semicolon", "k-seq-not-int"],
+)
+def test_malformed_list_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "morava approx --kind wp --height 1 --degree 8",
         "morava fgl --prime 6 --height 1 --degree 12",
         "morava fgl --prime 4 --height 1 --degree 8 --method rational",
@@ -83,6 +102,13 @@ def test_usage_error_exit_2(capsys):
         "morava fgl --prime 2 --height 1 --degree -4",
         "morava approx --kind wp --prime 2 --height 2 --degree 0",
         "morava approx --kind bv --height 2 --degree -1",
+        "abel membership --poly 1/0 --pairs 2,1",
+        "abel membership --poly a^x --pairs 2,1",
+        "abel membership --poly a^-1 --pairs 2,1",
+        "ptypical genfun --upto -1",
+        "abel log --upto 0 --method product",
+        "abel log --upto 0 --method uv",
+        "bp coeff --prime 1 -i 1 -j 1",
     ],
     ids=[
         "wp-height-1",
@@ -95,6 +121,13 @@ def test_usage_error_exit_2(capsys):
         "ravenel-degree-negative",
         "wp-degree-0",
         "bv-degree-negative",
+        "poly-zero-denominator",
+        "poly-exponent-not-int",
+        "poly-exponent-negative",
+        "genfun-upto-negative",
+        "log-product-upto-0",
+        "log-uv-upto-0",
+        "bp-coeff-prime-1",
     ],
 )
 def test_domain_error_exit_1(capsys, argv):
@@ -102,6 +135,7 @@ def test_domain_error_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_membership_cli(capsys):

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from fgl.abel import AbelContext
 from fgl.errors import DomainError
 from fgl.mpoly import Fp, Poly, Q, VarTable
 from fgl.pseries import (
@@ -74,6 +77,76 @@ def test_comp_inverse_agrees_with_iterative_oracle():
             coeffs[k] = _random_poly(rng, M3)
         m = Series1.from_coeffs(Q, M3, N, coeffs)
         assert comp_inverse(m) == comp_inverse_iterative(m)
+
+
+def _partitions(n, largest=None):
+    """Every partition of n as a list of parts, largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def _reference_inverse(m):
+    """e_n (coefficient of t^(n+1)) as the literal sum over every partition
+    of n with multiplicities k_r: (-1)^K (n+K)! / ((n+1)! prod k_r!) *
+    prod m_r^(k_r), where K = sum k_r and m_r = m.cs[r]."""
+    one = Poly.const(Q, m.vars, 1)
+    cs = [one]
+    for n in range(1, m.N):
+        total = Poly.zero(Q, m.vars)
+        for parts in _partitions(n):
+            K = len(parts)
+            term = one.scale(Fraction((-1) ** K * factorial(n + K), factorial(n + 1)))
+            for r, k in Counter(parts).items():
+                term = term.scale(Fraction(1, factorial(k))) * m.cs[r] ** k
+            total = total + term
+        cs.append(total)
+    return Series1(Q, m.vars, m.N, cs)
+
+
+GENERIC = VarTable([(f"m{r}", r) for r in range(1, 12)])
+
+
+def _generic_log(zero_sizes=()):
+    """t + m1 t^2 + ... + m11 t^12 with m_r = 0 for r in zero_sizes."""
+    coeffs = {1: Poly.const(Q, GENERIC, 1)}
+    for r in range(1, 12):
+        if r not in zero_sizes:
+            coeffs[r + 1] = Poly.var(Q, GENERIC, f"m{r}")
+    return Series1.from_coeffs(Q, GENERIC, 12, coeffs)
+
+
+LOGS = {
+    "generic": _generic_log,
+    "m2-m5-zero": lambda: _generic_log((2, 5)),
+    "sparse": lambda: _generic_log((1, 2, 4, 5, 6, 8, 9, 10)),
+    "abel": lambda: AbelContext(12).log_series(),
+}
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_comp_inverse_equals_partition_sum(log):
+    m = LOGS[log]()
+    assert comp_inverse(m) == _reference_inverse(m)
+
+
+def test_comp_inverse_never_multiplies_series(monkeypatch):
+    # comp_inverse_iterative is the oracle because it goes through powers of
+    # the series m; comp_inverse must not share that code
+    m = _generic_log((2, 5))
+    expect = comp_inverse_iterative(m)
+
+    def refuse(self, other):
+        raise AssertionError("Series1.mul called")
+
+    monkeypatch.setattr(Series1, "mul", refuse)
+    with pytest.raises(AssertionError):
+        comp_inverse_iterative(m)
+    assert comp_inverse(m) == expect
 
 
 def test_comp_inverse_round_trip():
