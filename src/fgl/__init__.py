@@ -3,7 +3,8 @@
 Subpackages by subject:
 
 - ``ratint``  -- exact scalars, p-adic valuations, integer-lattice kernels
-- ``mpoly``   -- sparse weight-graded multivariate polynomials over Q/Z/F_p
+- ``mpoly``   -- sparse weight-graded multivariate polynomials: arithmetic
+  over Q; Z and F_p polynomials are containers
 - ``pseries`` -- truncated power series, logarithms and exponentials of
   formal group laws, axiom checking
 - ``bp``      -- the Brown-Peterson formal group law and Hazewinkel generators

@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import DomainError, InternalInvariantError
 from .mpoly import Poly, Powers, Q, VarTable, require_prime
-from .pseries import Series1, _composition_term, weighted_partitions
+from .pseries import Series1, closed_sum, weighted_partitions
 from .ratint import binom_valuation, solve_unique
 
 
@@ -142,14 +142,7 @@ def bp_fgl_coeff(p: int, i: int, j: int) -> Poly:
     lpow = Powers([Poly.var(Q, lvars, f"l{r}") for r in range(1, depth + 1)])
     iweights = [p**r for r in range(0, depth + 1)]
     kweights = [p**r - 1 for r in range(1, depth + 1)]
-    total = Poly.zero(Q, lvars)
-    for ipart in weighted_partitions(i, iweights):
-        for jpart in weighted_partitions(j, iweights):
-            ktarget = sum(ipart) + sum(jpart) - 1
-            for kpart in weighted_partitions(ktarget, kweights):
-                term = _composition_term(Q, lvars, ipart, jpart, kpart, lpow, None)
-                if term is not None:
-                    total = total + term
+    total = closed_sum(i, j, iweights, kweights, Q, lvars, lpow)
     if total.is_zero():
         return Poly.zero(Q, ctx.vars)
     bindings = {f"l{r}": ctx.l(r) for r in range(1, depth + 1)}

@@ -108,8 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(ns, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {ns.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -325,13 +328,13 @@ def main(argv: list[str] | None = None) -> int:
             code, text = _run_ptypical(ns)
         else:
             code, text = _run_reproduce(ns)
+        _emit(ns, text)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalInvariantError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 3
-    _emit(ns, text)
     return code
 
 

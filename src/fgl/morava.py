@@ -22,8 +22,8 @@ from .mpoly import Fp, Poly, Q, VarTable, Z
 from .pseries import (
     Series1,
     Series2,
-    _composition_term,
     _frobenius,
+    closed_sum,
     fgl_from_log,
     series_add,
     series_eval,
@@ -65,20 +65,8 @@ def gs_fgl_coeff(p: int, s: int, i: int, j: int) -> Fraction:
     iweights = [p ** (r * s) for r in range(0, rmax + 1)]
     kweights = [p ** (r * s) - 1 for r in range(1, rmax + 1)]
     one = Poly.const(Q, SCALARS, 1)
-
-    def unit_pow(r: int, k: int) -> Poly:
-        return one
-
-    total = Poly.zero(Q, SCALARS)
-    for ipart in weighted_partitions(i, iweights):
-        for jpart in weighted_partitions(j, iweights):
-            ktarget = sum(ipart) + sum(jpart) - 1
-            for kpart in weighted_partitions(ktarget, kweights):
-                term = _composition_term(Q, SCALARS, ipart, jpart, kpart, unit_pow, p)
-                if term is not None:
-                    total = total + term
-    v = total.constant_value()
-    return v if v is not None else Fraction(0)
+    total = closed_sum(i, j, iweights, kweights, Q, SCALARS, lambda r, k: one, den_base=p)
+    return total.constant_value()
 
 
 def gs_fgl_coeff_alt(p: int, s: int, i: int, j: int) -> Fraction:

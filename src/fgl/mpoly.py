@@ -1,5 +1,9 @@
-"""Sparse multivariate polynomials over Q, Z, or F_p with weight-graded
-named variables.
+"""Sparse multivariate polynomials with weight-graded named variables:
+arithmetic over Q; Z and F_p polynomials are containers.
+
+The formal group laws are computed over Q and reach Z or F_p only at the end,
+by ``map_coeffs`` or ``reduce_mod_p``.  A Z or F_p polynomial can be built,
+compared, rendered and written as JSON, but sums and products refuse it.
 
 Weights are "half-degrees": a topological degree 2d is stored as weight d,
 so v_n carries weight p^n - 1 and a1, a2 carry weights 1, 2.  The canonical
@@ -18,7 +22,8 @@ from .errors import DomainError
 
 
 class Ring:
-    """Coefficient ring tag: Q, Z, or F_p with p recorded."""
+    """Coefficient ring tag: Q, Z, or F_p with p recorded.  Arithmetic is
+    over Q; Z and F_p polynomials are containers."""
 
     __slots__ = ("kind", "p")
 
@@ -55,15 +60,6 @@ class Ring:
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
         return int(c) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
     def json_tag(self) -> str:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
@@ -85,16 +81,6 @@ def Fp(p: int) -> Ring:
     if p not in _fp_cache:
         _fp_cache[p] = Ring("Fp", require_prime(p))
     return _fp_cache[p]
-
-
-def ring_from_tag(tag: str) -> Ring:
-    if tag == "Q":
-        return Q
-    if tag == "Z":
-        return Z
-    if tag.startswith("F"):
-        return Fp(int(tag[1:]))
-    raise DomainError(f"unknown ring tag {tag!r}")
 
 
 class VarTable:
@@ -143,9 +129,7 @@ class Poly:
     def __init__(self, ring: Ring, vars: VarTable, terms: Mapping[tuple[int, ...], object]):
         self.ring = ring
         self.vars = vars
-        self.terms = {
-            exps: c for exps, c in terms.items() if not _is_zero(c)
-        }
+        self.terms = {exps: c for exps, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------
 
@@ -156,7 +140,7 @@ class Poly:
     @classmethod
     def const(cls, ring: Ring, vars: VarTable, c) -> "Poly":
         c = ring.coerce(c)
-        return cls(ring, vars, {(0,) * len(vars): c} if not _is_zero(c) else {})
+        return cls(ring, vars, {(0,) * len(vars): c})
 
     @classmethod
     def var(cls, ring: Ring, vars: VarTable, name: str, coeff=1) -> "Poly":
@@ -173,29 +157,31 @@ class Poly:
 
     # -- ring structure ----------------------------------------------
 
+    def _check_q(self):
+        if self.ring.kind != "Q":
+            raise DomainError(
+                f"no polynomial arithmetic over {self.ring}: compute over Q, then reduce_mod_p"
+            )
+
     def _check_compatible(self, other: "Poly"):
         if self.ring != other.ring or self.vars != other.vars:
             raise DomainError("ring or variable-table mismatch")
+        self._check_q()
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.ring, self.vars, other)
         self._check_compatible(other)
         terms = dict(self.terms)
-        add = self.ring.add
         for exps, c in other.terms.items():
-            s = add(terms.get(exps, _ZERO), c) if exps in terms else c
-            if _is_zero(s):
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
+            terms[exps] = terms[exps] + c if exps in terms else c
         return Poly(self.ring, self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.neg
-        return Poly(self.ring, self.vars, {e: neg(c) for e, c in self.terms.items()})
+        self._check_q()
+        return Poly(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -209,31 +195,20 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
-        mul, add = self.ring.mul, self.ring.add
         out: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = mul(c1, c2)
-                if e in out:
-                    s = add(out[e], c)
-                    if _is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not _is_zero(c):
-                    out[e] = c
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return Poly(self.ring, self.vars, out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Poly":
+        self._check_q()
         c = self.ring.coerce(c)
-        if _is_zero(c):
-            return Poly.zero(self.ring, self.vars)
-        mul = self.ring.mul
-        return Poly(self.ring, self.vars, {e: mul(v, c) for e, v in self.terms.items()})
+        return Poly(self.ring, self.vars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -249,7 +224,7 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if _is_zero(other) and not self.terms:
+            if other == 0 and not self.terms:
                 return True
             other = Poly.const(self.ring, self.vars, other)
         return self.ring == other.ring and self.vars == other.vars and self.terms == other.terms
@@ -343,12 +318,7 @@ class Poly:
         return Poly(fp, self.vars, terms)
 
     def map_coeffs(self, ring: Ring, fn) -> "Poly":
-        terms = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not _is_zero(v):
-                terms[e] = v
-        return Poly(ring, self.vars, terms)
+        return Poly(ring, self.vars, {e: fn(c) for e, c in self.terms.items()})
 
     # -- canonical text / JSON -----------------------------------------
 
@@ -395,14 +365,6 @@ class Poly:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, vars: VarTable) -> "Poly":
-        ring = ring_from_tag(obj["ring"])
-        out = cls.zero(ring, vars)
-        for t in obj["terms"]:
-            out = out + cls.monomial(ring, vars, Fraction(t["coeff"]), t["exps"])
-        return out
-
 
 class Powers:
     """Memoized positive powers ``powers(r, k) == bases[r] ** k`` of a fixed
@@ -431,13 +393,6 @@ class Powers:
         return acc
 
 
-_ZERO = 0
-
-
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 def _is_negative(c) -> bool:
     try:
         return c < 0
@@ -450,6 +405,8 @@ def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:
 
     Accepts the output of ``str(Poly)``: terms joined by + and -, each a
     product of an optional rational coefficient and ``name^k`` factors.
+    Like terms are summed over Q and each sum is coerced into ``ring`` once,
+    so ``x + x`` parses to 0 over F_2.
     """
     s = text.replace(" ", "")
     if not s:
@@ -464,7 +421,7 @@ def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:
         else:
             cur += ch
     terms.append(cur)
-    out = Poly.zero(ring, vars)
+    sums: dict[tuple[int, ...], Fraction] = {}
     for term in terms:
         if term in ("", "+", "-"):
             raise DomainError(f"malformed term in {text!r}")
@@ -474,7 +431,7 @@ def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:
                 sign = -sign
             term = term[1:]
         coeff = Fraction(sign)
-        exps: dict[str, int] = {}
+        exps = [0] * len(vars)
         for factor in term.split("*"):
             if not factor:
                 raise DomainError(f"malformed term in {text!r}")
@@ -487,6 +444,7 @@ def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:
                 name, caret, k = factor.partition("^")
                 if caret and not k.isdecimal():
                     raise DomainError(f"bad exponent in {factor!r} of {text!r}")
-                exps[name] = exps.get(name, 0) + (int(k) if caret else 1)
-        out = out + Poly.monomial(ring, vars, coeff, exps)
-    return out
+                exps[vars.index(name)] += int(k) if caret else 1
+        key = tuple(exps)
+        sums[key] = sums.get(key, 0) + coeff
+    return Poly(ring, vars, {e: ring.coerce(c) for e, c in sums.items()})

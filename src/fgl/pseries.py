@@ -371,14 +371,22 @@ def fgl_coeff_general(i: int, j: int, m: list[Poly]) -> Poly:
         raise DomainError("need i, j >= 1")
     if len(m) < i + j - 1:
         raise DomainError("need m_1..m_(i+j-1)")
-    ring, vars = m[0].ring, m[0].vars
+    weights = list(range(1, i + j))
+    return closed_sum(i, j, weights, weights, m[0].ring, m[0].vars, Powers(m))
+
+
+def closed_sum(i, j, iweights, kweights, ring, vars, factor_pow, den_base=None) -> Poly:
+    """Coefficient of x^i y^j by the closed multinomial sum shared by the
+    G(s), BP and general formulas: over the compositions
+    i = sum_r i_r iweights[r], j = sum_r j_r iweights[r] and
+    sum_r k_r kweights[r] = sum_r (i_r + j_r) - 1, of the summands of
+    _composition_term (which reads factor_pow and den_base)."""
     total = Poly.zero(ring, vars)
-    mpow = Powers(m)
-    for ipart in weighted_partitions(i, list(range(1, i + 1))):
-        for jpart in weighted_partitions(j, list(range(1, j + 1))):
+    for ipart in weighted_partitions(i, iweights):
+        for jpart in weighted_partitions(j, iweights):
             ktarget = sum(ipart) + sum(jpart) - 1
-            for kpart in weighted_partitions(ktarget, list(range(1, ktarget + 1))):
-                term = _composition_term(ring, vars, ipart, jpart, kpart, mpow, None)
+            for kpart in weighted_partitions(ktarget, kweights):
+                term = _composition_term(ring, vars, ipart, jpart, kpart, factor_pow, den_base)
                 if term is not None:
                     total = total + term
     return total

@@ -198,14 +198,7 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
         span = _FpSpan(p)
         mono_index = {m: i for i, m in enumerate(monomials)}
         for rel in minimal_store:
-            cofactor_weight = w - rel.weight
-            if cofactor_weight < 0:
-                continue
-            for cof in weighted_partitions(cofactor_weight, vweights):
-                prod = rel.poly * Poly(Q, vvars, {cof: Fraction(1)})
-                vec = [0] * len(monomials)
-                for e, c in prod.terms.items():
-                    vec[mono_index[e]] = int(c) % p
+            for _, vec in _multiples(rel, w, vvars, mono_index, p):
                 span.add(vec)
         entries = []
         for vec in kernel:
@@ -223,6 +216,18 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
             f"monomials beyond depth n_max={n_max} are not enumerated at the top weights"
         )
     return RelationSet(p, n_max, max_weight, vvars, reports, warning)
+
+
+def _multiples(rel: RelationEntry, w: int, vvars: VarTable, mono_index, p: int):
+    """Yield (cofactor, vector mod p) for the multiples of rel by the
+    monomial cofactors of weight w - rel.weight, cofactors in sorted order;
+    the vector holds rel * cofactor over the weight-w monomials of mono_index."""
+    for cof in sorted(weighted_partitions(w - rel.weight, list(vvars.weights))):
+        vec = [0] * len(mono_index)
+        for e, c in rel.poly.terms.items():
+            # times a monomial: exponents add, coefficients stay
+            vec[mono_index[tuple(a + b for a, b in zip(e, cof))]] = int(c) % p
+        yield cof, vec
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +323,11 @@ def mod2_presentation(rs: RelationSet) -> Mod2Report:
 
 
 def _fill_lower_span(rs: RelationSet, w: int, span: _FpSpan, mono_index) -> None:
-    vvars = rs.vars
-    vweights = list(vvars.weights)
     for w2, entries in rs.minimal_by_weight().items():
         if w2 >= w:
             continue
         for rel in entries:
-            for cof in weighted_partitions(w - w2, vweights):
-                prod = rel.poly * Poly(Q, vvars, {cof: Fraction(1)})
-                vec = [0] * len(mono_index)
-                for e, c in prod.terms.items():
-                    vec[mono_index[e]] = int(c) % 2
+            for _, vec in _multiples(rel, w, rs.vars, mono_index, 2):
                 span.add(vec)
 
 
@@ -338,7 +337,6 @@ def _nonregularity_witness(rs: RelationSet) -> tuple[bool, list[str]]:
     if 21 not in rs.weights:
         return False, ["weight 21 not computed"]
     vvars = rs.vars
-    vweights = list(vvars.weights)
     rep = rs.weights[21]
     mono_index = {m: i for i, m in enumerate(rep.monomials)}
     dim = len(rep.monomials)
@@ -346,12 +344,8 @@ def _nonregularity_witness(rs: RelationSet) -> tuple[bool, list[str]]:
     for w2, entries in rs.minimal_by_weight().items():
         if w2 > 21:
             continue
-        for k, rel in enumerate(entries):
-            for cof in sorted(weighted_partitions(21 - w2, vweights)):
-                prod = rel.poly * Poly(Q, vvars, {cof: Fraction(1)})
-                vec = [0] * dim
-                for e, c in prod.terms.items():
-                    vec[mono_index[e]] = int(c) % 2
+        for rel in entries:
+            for cof, vec in _multiples(rel, 21, vvars, mono_index, 2):
                 cof_poly = Poly(Q, vvars, {cof: Fraction(1)})
                 generators.append((f"(relation at weight {w2}) * {cof_poly}", vec))
     v1_index = vvars.index("v1")

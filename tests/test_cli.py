@@ -191,6 +191,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == "W^(6) = -x*y^5 - 3*x^2*y^4 - 4*x^3*y^3 - 3*x^4*y^2 - x^5*y\n"
 
 
+def test_out_flag_unwritable_path_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = _run(capsys, "--out", str(target), "morava", "witt", "-n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     code, out1, _ = _run(capsys, "--format", "json", "bp", "coeff", "--prime", "2", "-i", "1", "-j", "1")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from fgl.errors import DomainError
 from fgl.mpoly import Fp, Poly, Q, Ring, VarTable, Z, parse_poly
+from fgl.pseries import series_add, series_mul
 
 
 XY = VarTable([("x", 1), ("y", 1)])
@@ -113,12 +114,49 @@ def test_reduce_mod_p():
 
 
 def test_reduce_mod_p_commutes_with_ring_ops():
+    # the F_2 side multiplies and adds the reduced coefficient dicts with the
+    # series kernel mod 2; exponents stay below 7 in a1 + a2, so degree 12
+    # truncates nothing
     rng = random.Random(5)
     for _ in range(20):
         f = _random_poly(rng, A12, denominators=(1, 3, 5))
         g = _random_poly(rng, A12, denominators=(1, 3, 5))
-        assert (f * g).reduce_mod_p(2) == f.reduce_mod_p(2) * g.reduce_mod_p(2)
-        assert (f + g).reduce_mod_p(2) == f.reduce_mod_p(2) + g.reduce_mod_p(2)
+        fr, gr = f.reduce_mod_p(2).terms, g.reduce_mod_p(2).terms
+        assert (f * g).reduce_mod_p(2).terms == series_mul(fr, gr, 12, 2)
+        assert (f + g).reduce_mod_p(2).terms == series_add(fr, gr, 2)
+
+
+@pytest.mark.parametrize("ring", [Fp(2), Z], ids=repr)
+def test_arithmetic_refused_off_q(ring):
+    x, y = Poly.var(ring, XY, "x"), Poly.var(ring, XY, "y")
+    for op in (
+        lambda: x + y,
+        lambda: x + 1,
+        lambda: 1 + x,
+        lambda: x - y,
+        lambda: 1 - x,
+        lambda: -x,
+        lambda: x * y,
+        lambda: 3 * x,
+        lambda: x.scale(3),
+        lambda: x**1,
+        lambda: x**2,
+    ):
+        with pytest.raises(DomainError, match="compute over Q"):
+            op()
+
+
+def test_parse_poly_combines_terms_before_coercing():
+    x = Poly.var(Fp(2), XY, "x")
+    assert parse_poly("x + x", Fp(2), XY).is_zero()
+    assert parse_poly("1/3*x", Fp(2), XY) == x
+    assert parse_poly("x + 1/3*x + y - y", Fp(2), XY).is_zero()
+    with pytest.raises(DomainError):
+        parse_poly("1/2*x", Fp(2), XY)
+    assert parse_poly("2*x - x", Z, XY) == Poly.var(Z, XY, "x")
+    assert parse_poly("1/2*x + 1/2*x", Z, XY) == Poly.var(Z, XY, "x")
+    with pytest.raises(DomainError):
+        parse_poly("x + z", Q, XY)
 
 
 def test_ring_axioms_random():
@@ -151,7 +189,12 @@ def test_json_round_trip():
     f = (a1**3 * a2).scale(Fraction(-7, 5)) + a2**2 + 4
     obj = f.to_json_obj()
     assert obj["ring"] == "Q"
-    assert Poly.from_json_obj(obj, A12) == f
+    assert obj["terms"] == [
+        {"coeff": "4", "exps": {}},
+        {"coeff": "1", "exps": {"a2": 2}},
+        {"coeff": "-7/5", "exps": {"a1": 3, "a2": 1}},
+    ]
+    assert Poly.var(Fp(3), A12, "a1").to_json_obj()["ring"] == "F3"
 
 
 def test_parse_poly_round_trip():
