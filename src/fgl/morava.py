@@ -139,10 +139,9 @@ def witt_symmetric(n: int) -> Poly:
         if n % d == 0:
             wd = witt_symmetric(n // d).map_coeffs(Q, Fraction)
             acc = acc - (wd**d).scale(Fraction(1, d))
-    for c in acc.terms.values():
-        if c.denominator != 1:
-            raise InternalInvariantError(f"W^({n}) not integral: coefficient {c}")
-    result = acc.map_coeffs(Z, lambda c: int(c))
+    if acc.den != 1:
+        raise InternalInvariantError(f"W^({n}) not integral: denominator {acc.den}")
+    result = Poly(Z, XY, acc.num)
     _witt_cache[n] = result
     return result
 

@@ -1,6 +1,14 @@
 """Sparse multivariate polynomials with weight-graded named variables:
 arithmetic over Q; Z and F_p polynomials are containers.
 
+A polynomial is stored fraction-free, in the layout of FLINT's
+``fmpq_mpoly``: ``num`` maps exponent tuples to nonzero int numerators over
+one int denominator ``den > 0``, and gcd(den, every numerator) = 1, so equal
+polynomials have equal (num, den).  Z and F_p polynomials use the same
+layout with den = 1 (F_p numerators lie in 1..p-1).  Sums and products run
+on plain ints; ``terms`` builds the coefficient dict on demand, with
+Fraction values over Q and int values over Z and F_p.
+
 The formal group laws are computed over Q and reach Z or F_p only at the end,
 by ``map_coeffs`` or ``reduce_mod_p``.  A Z or F_p polynomial can be built,
 compared, rendered and written as JSON, but sums and products refuse it.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -45,20 +53,20 @@ class Ring:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
     def coerce(self, c):
+        """The int or Fraction c as an element of this ring: a Fraction over
+        Q, an int over Z (c must be integral), an int in 0..p-1 over F_p
+        (c must be p-local).  Anything else, a float included, is refused."""
+        if not isinstance(c, (int, Fraction)):
+            raise DomainError(f"coefficient {c!r} is neither an int nor a Fraction")
         if self.kind == "Q":
-            return Fraction(c)
+            return c if isinstance(c, Fraction) else Fraction(c)
         if self.kind == "Z":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise DomainError(f"{c} is not an integer")
-                return c.numerator
-            return int(c)
-        # Fp: accept ints and fractions whose denominator is a unit mod p
-        if isinstance(c, Fraction):
-            if gcd(c.denominator, self.p) != 1:
-                raise DomainError(f"{c} is not {self.p}-local")
-            return c.numerator * pow(c.denominator, -1, self.p) % self.p
-        return int(c) % self.p
+            if c.denominator != 1:
+                raise DomainError(f"{c} is not an integer")
+            return c.numerator
+        if gcd(c.denominator, self.p) != 1:
+            raise DomainError(f"{c} is not {self.p}-local")
+        return c.numerator * pow(c.denominator, -1, self.p) % self.p
 
     def json_tag(self) -> str:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
@@ -122,38 +130,100 @@ class VarTable:
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero scalars."""
+    """Sparse polynomial sum (num[exps] / den) * x^exps: int numerators, none
+    zero, over one denominator den > 0 with gcd(den, *num.values()) == 1."""
 
-    __slots__ = ("ring", "vars", "terms")
+    __slots__ = ("ring", "vars", "num", "den")
 
     def __init__(self, ring: Ring, vars: VarTable, terms: Mapping[tuple[int, ...], object]):
+        """The polynomial with coefficient terms[exps] at each exps; zero
+        coefficients are dropped.  A coefficient must already be an element
+        of the ring: an int or Fraction over Q, an integral one over Z, an
+        int in 0..p-1 over F_p.  Anything else raises DomainError; nothing is
+        reduced or converted."""
+        if ring.kind == "Fp":
+            for c in terms.values():
+                if not (isinstance(c, int) and 0 <= c < ring.p):
+                    raise DomainError(f"coefficient {c!r} is not in 0..{ring.p - 1} for {ring}")
+            num, den = {e: c for e, c in terms.items() if c}, 1
+        else:
+            cs = {e: ring.coerce(c) for e, c in terms.items()}
+            # over the lcm of the reduced denominators the numerators are coprime
+            den = lcm(*(c.denominator for c in cs.values()))
+            # a numerator already over den is shared, not copied by a product
+            # with 1: the kernel rows of ptypical keep their ints only once
+            num = {
+                e: c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
+                for e, c in cs.items()
+                if c
+            }
         self.ring = ring
         self.vars = vars
-        self.terms = {exps: c for exps, c in terms.items() if c}
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _make(cls, ring: Ring, vars: VarTable, num: dict, den: int = 1) -> "Poly":
+        """Internal constructor: num holds no zero and (num, den) is already
+        canonical."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.vars = vars
+        poly.num = num
+        poly.den = den
+        return poly
+
+    @classmethod
+    def _reduced(cls, ring: Ring, vars: VarTable, num: dict, den: int) -> "Poly":
+        """Internal constructor: num holds no zero; gcd(den, *num) is divided
+        out here."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return cls._make(ring, vars, num, den)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], object]:
+        """{exps: coefficient}, built on each read: Fraction values over Q,
+        int values over Z and F_p."""
+        if self.ring.kind == "Q":
+            den = self.den
+            return {e: Fraction(c, den) for e, c in self.num.items()}
+        return dict(self.num)
+
+    def _value(self, c: int):
+        """The coefficient with numerator c, as ``terms`` gives it."""
+        return Fraction(c, self.den) if self.ring.kind == "Q" else c
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, ring: Ring, vars: VarTable) -> "Poly":
-        return cls(ring, vars, {})
+        return cls._make(ring, vars, {})
+
+    @classmethod
+    def _term(cls, ring: Ring, vars: VarTable, exps: tuple[int, ...], c) -> "Poly":
+        c = ring.coerce(c)
+        return cls._make(ring, vars, {exps: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def const(cls, ring: Ring, vars: VarTable, c) -> "Poly":
-        c = ring.coerce(c)
-        return cls(ring, vars, {(0,) * len(vars): c})
+        return cls._term(ring, vars, (0,) * len(vars), c)
 
     @classmethod
     def var(cls, ring: Ring, vars: VarTable, name: str, coeff=1) -> "Poly":
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(ring, vars, {exps: ring.coerce(coeff)})
+        return cls._term(ring, vars, exps, coeff)
 
     @classmethod
     def monomial(cls, ring: Ring, vars: VarTable, coeff, exps: Mapping[str, int]) -> "Poly":
         e = [0] * len(vars)
         for name, k in exps.items():
             e[vars.index(name)] = k
-        return cls(ring, vars, {tuple(e): ring.coerce(coeff)})
+        return cls._term(ring, vars, tuple(e), coeff)
 
     # -- ring structure ----------------------------------------------
 
@@ -163,8 +233,15 @@ class Poly:
                 f"no polynomial arithmetic over {self.ring}: compute over Q, then reduce_mod_p"
             )
 
+    def _same_space(self, other: "Poly") -> bool:
+        """Same ring and variable table; operands almost always share the
+        objects, so identity is tested before value equality."""
+        return (self.ring is other.ring or self.ring == other.ring) and (
+            self.vars is other.vars or self.vars == other.vars
+        )
+
     def _check_compatible(self, other: "Poly"):
-        if self.ring != other.ring or self.vars != other.vars:
+        if not self._same_space(other):
             raise DomainError("ring or variable-table mismatch")
         self._check_q()
 
@@ -172,16 +249,26 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.ring, self.vars, other)
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms[exps] + c if exps in terms else c
-        return Poly(self.ring, self.vars, terms)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        g = gcd(self.den, other.den)
+        f1, f2 = other.den // g, self.den // g
+        out = dict(self.num) if f1 == 1 else {e: c * f1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            if f2 != 1:
+                c *= f2
+            out[e] = out[e] + c if e in out else c
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return Poly._reduced(self.ring, self.vars, out, self.den * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
         self._check_q()
-        return Poly(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.ring, self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -195,12 +282,16 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return Poly(self.ring, self.vars, out)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        add = operator.add
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return Poly._reduced(self.ring, self.vars, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -208,7 +299,12 @@ class Poly:
     def scale(self, c) -> "Poly":
         self._check_q()
         c = self.ring.coerce(c)
-        return Poly(self.ring, self.vars, {e: v * c for e, v in self.terms.items()})
+        if not c:
+            return Poly.zero(self.ring, self.vars)
+        n = c.numerator
+        return Poly._reduced(
+            self.ring, self.vars, {e: v * n for e, v in self.num.items()}, self.den * c.denominator
+        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -223,59 +319,56 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            if other == 0 and not self.terms:
-                return True
+        if isinstance(other, (int, Fraction)):
             other = Poly.const(self.ring, self.vars, other)
-        return self.ring == other.ring and self.vars == other.vars and self.terms == other.terms
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num and self._same_space(other)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __hash__(self):
-        return hash((self.ring, self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.ring, self.vars, self.den, frozenset(self.num.items())))
 
     # -- structure queries -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def constant_value(self):
         """The scalar value if this poly is constant, else None."""
-        if not self.terms:
+        if not self.num:
             return self.ring.coerce(0)
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if all(e == 0 for e in exps):
-                return c
+        if len(self.num) == 1:
+            (exps, c), = self.num.items()
+            if not any(exps):
+                return self._value(c)
         return None
 
     def coeff_of(self, exps: Mapping[str, int]):
         e = [0] * len(self.vars)
         for name, k in exps.items():
             e[self.vars.index(name)] = k
-        return self.terms.get(tuple(e), self.ring.coerce(0))
+        return self._value(self.num.get(tuple(e), 0))
 
     def weight(self) -> int | None:
         """Common weight of all terms if homogeneous, else None; 0 for 0."""
-        ws = {self.vars.monomial_weight(e) for e in self.terms}
+        ws = {self.vars.monomial_weight(e) for e in self.num}
         if not ws:
             return 0
         return ws.pop() if len(ws) == 1 else None
 
     def max_weight(self) -> int:
-        return max((self.vars.monomial_weight(e) for e in self.terms), default=0)
+        return max((self.vars.monomial_weight(e) for e in self.num), default=0)
 
     def graded_component(self, w: int) -> "Poly":
-        return Poly(
-            self.ring,
-            self.vars,
-            {e: c for e, c in self.terms.items() if self.vars.monomial_weight(e) == w},
-        )
+        part = {e: c for e, c in self.num.items() if self.vars.monomial_weight(e) == w}
+        return Poly._reduced(self.ring, self.vars, part, self.den)
 
     def variables_used(self) -> set[str]:
         used = set()
-        for e in self.terms:
+        for e in self.num:
             for i, k in enumerate(e):
                 if k:
                     used.add(self.vars.names[i])
@@ -304,18 +397,17 @@ class Poly:
         return out
 
     def reduce_mod_p(self, p: int) -> "Poly":
-        """Coefficientwise image in F_p; every coefficient must be p-local."""
+        """Coefficientwise image in F_p; the denominator must be prime to p."""
         if self.ring.kind == "Fp":
             if self.ring.p != p:
                 raise DomainError("polynomial already lives in a different F_p")
             return self
         fp = Fp(p)
-        terms = {}
-        for e, c in self.terms.items():
-            r = fp.coerce(c)
-            if r:
-                terms[e] = r
-        return Poly(fp, self.vars, terms)
+        if self.den % p == 0:
+            bad = next(c for c in self.terms.values() if c.denominator % p == 0)
+            raise DomainError(f"{bad} is not {p}-local")
+        inv = pow(self.den, -1, p)
+        return Poly._make(fp, self.vars, {e: r for e, c in self.num.items() if (r := c * inv % p)})
 
     def map_coeffs(self, ring: Ring, fn) -> "Poly":
         return Poly(ring, self.vars, {e: fn(c) for e, c in self.terms.items()})
@@ -328,7 +420,7 @@ class Poly:
         )
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -337,7 +429,7 @@ class Poly:
                 for i, k in enumerate(exps)
                 if k
             ]
-            neg = _is_negative(c)
+            neg = c < 0
             mag = -c if neg else c
             if factors and mag == 1:
                 body = "*".join(factors)
@@ -391,13 +483,6 @@ class Powers:
             if k:
                 acc = self.mul(acc, self(r, k))
         return acc
-
-
-def _is_negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:
-        return False
 
 
 def parse_poly(text: str, ring: Ring, vars: VarTable) -> Poly:

@@ -117,7 +117,7 @@ class Series1:
 
 def _coeff_times_monomial(c: Poly, mono: str, first: bool) -> str:
     """Render ``c * mono`` as a signed term; ``first`` picks the sign style."""
-    if len(c.terms) <= 1:
+    if len(c.num) <= 1:
         text = str(c)
         neg = text.startswith("-")
         if neg:

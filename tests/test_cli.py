@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,14 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys):
     code = main(["morava", "witt", "-n", "2", "--out", str(target)])
     assert code == 0
     assert target.read_text() == "W^(2) = -x*y\n"
+
+
+def test_python_m_fgl_matches_in_process_main(capsys):
+    argv = ["morava", "witt", "-n", "3"]
+    _, expected, _ = _run(capsys, *argv)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fgl", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")

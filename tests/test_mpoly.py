@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgl.errors import DomainError
 from fgl.mpoly import Fp, Poly, Q, Ring, VarTable, Z, parse_poly
@@ -205,6 +208,142 @@ def test_parse_poly_round_trip():
     assert parse_poly("-1/3*a1*a2 + a1^2", Q, A12) == Poly.monomial(
         Q, A12, Fraction(-1, 3), {"a1": 1, "a2": 1}
     ) + Poly.monomial(Q, A12, 1, {"a1": 2})
+
+
+# -- the fraction-free layout against a {exps: Fraction} oracle ------------
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_scale(a, c):
+    return {e: v * c for e, v in a.items() if v * c}
+
+
+def _oracle_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _oracle_mul(out, a)
+    return out
+
+
+def _assert_canonical(poly):
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(c) is int and c != 0 for c in poly.num.values())
+    assert gcd(poly.den, *poly.num.values()) == 1
+
+
+_fractions = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 12, 35])
+)
+
+
+@st.composite
+def _poly_triples(draw):
+    """A variable table of 2 or 3 variables and three {exps: Fraction}
+    dicts with mixed denominators."""
+    vars = draw(st.sampled_from([XY, V3]))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+    dicts = [draw(st.dictionaries(exps, _fractions, max_size=5)) for _ in range(3)]
+    return vars, dicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_triples(), _fractions, st.integers(0, 3))
+def test_fraction_free_arithmetic_matches_fraction_oracle(triple, c, n):
+    vars, (da, db, dc) = triple
+    a, b, d = (Poly(Q, vars, t) for t in (da, db, dc))
+    da, db = ({e: v for e, v in t.items() if v} for t in (da, db))
+    cases = [
+        (a, da),
+        (a + b, _oracle_add(da, db)),
+        (a - b, _oracle_add(da, _oracle_scale(db, -1))),
+        (-a, _oracle_scale(da, -1)),
+        (a * b, _oracle_mul(da, db)),
+        (a.scale(c), _oracle_scale(da, c)),
+        (a * c, _oracle_scale(da, c)),
+        (a**n, _oracle_pow(da, n, len(vars))),
+    ]
+    for poly, expect in cases:
+        assert poly.terms == expect
+        assert all(type(v) is Fraction for v in poly.terms.values())
+        _assert_canonical(poly)
+    # equal values reached by different routes are equal and hash equal
+    for left, right in [
+        ((a + b) - b, a),
+        (a * (b + d), a * b + a * d),
+        (b * a, a * b),
+        (a.scale(c).scale(1 / c) if c else a, a),
+        (a.scale(Fraction(1, 6)) + a.scale(Fraction(5, 6)), a),
+        (a * Fraction(1, 2) * 2, a),
+    ]:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_equal_polys_hash_equal_across_routes():
+    x, _ = x_y()
+    half = x * Fraction(1, 2)
+    assert half * 2 == x and hash(half * 2) == hash(x)
+    assert (half * 2).den == 1 and (half * 2).num == {(1, 0): 1}
+    e = (1, 1)
+    quarter = Poly(Q, XY, {e: Fraction(2, 4)})
+    assert quarter == Poly(Q, XY, {e: Fraction(1, 2)})
+    assert hash(quarter) == hash(Poly(Q, XY, {e: Fraction(1, 2)}))
+    assert (quarter.num, quarter.den) == ({e: 1}, 2)
+    # 1/6 + 1/3 = 1/2: the common denominator 6 shares the factor 3 with the sum
+    third = Poly(Q, XY, {e: Fraction(1, 6)}) + Poly(Q, XY, {e: Fraction(1, 3)})
+    assert (third.num, third.den) == ({e: 1}, 2)
+    assert (x - x).den == 1 and (x - x).is_zero()
+
+
+def test_constructor_refuses_values_outside_the_ring():
+    x = (1, 0)
+    for ring, bad in [
+        (Fp(3), 4),  # would render 4*x and differ from parse_poly("x")
+        (Fp(3), 3),  # would render 3*x and not be zero
+        (Fp(3), -1),
+        (Fp(3), Fraction(1)),
+        (Z, Fraction(1, 2)),
+        (Q, 0.5),
+        (Z, 2.0),
+        (Q, "1/2"),
+    ]:
+        with pytest.raises(DomainError):
+            Poly(ring, XY, {x: bad})
+    assert Poly(Fp(3), XY, {x: 1}) == parse_poly("x", Fp(3), XY)
+    assert Poly(Fp(3), XY, {x: 0}).is_zero()
+    assert Poly(Z, XY, {x: Fraction(4, 2)}) == Poly.var(Z, XY, "x", 2)
+    x_poly, _ = x_y()
+    with pytest.raises(DomainError):
+        x_poly + 1.5
+    with pytest.raises(DomainError):
+        x_poly.scale(0.5)
+    with pytest.raises(DomainError):
+        Poly.var(Z, XY, "x").map_coeffs(Fp(2), lambda c: c + 1)  # 2 is not reduced mod 2
+
+
+def test_eq_with_foreign_operands_is_not_implemented():
+    x, _ = x_y()
+    assert x.__eq__("x") is NotImplemented
+    assert (x == "x") is False
+    assert (x == None) is False  # noqa: E711
+    assert x != "x"
+    assert Poly.zero(Q, XY) == 0
+    assert Poly.const(Q, XY, Fraction(3, 2)) == Fraction(3, 2)
 
 
 def _random_poly(rng, vars, denominators=(1, 1, 2, 3)):
