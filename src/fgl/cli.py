@@ -126,6 +126,8 @@ def _run_bp(ns) -> tuple[int, str]:
         if ns.method == "recursive":
             ls = bp.bp_log_recursive(ns.prime, ns.upto)
         else:
+            if ns.upto < 1:
+                raise DomainError("need n >= 1")
             ls = [bp.bp_log_closed(ns.prime, n) for n in range(1, ns.upto + 1)]
         if ns.format == "json":
             return 0, json.dumps([l.to_json_obj() for l in ls], indent=2) + "\n"
@@ -228,7 +230,9 @@ def _run_ptypical(ns) -> tuple[int, str]:
             return 0, json.dumps([img.to_json_obj() for img in cm.images], indent=2) + "\n"
         return 0, "\n".join(f"v_{n} -> {cm.image(n)}" for n in range(1, ns.upto + 1)) + "\n"
     if ns.subcommand == "kernel":
-        n_max = ns.n_max or ptypical.sufficient_depth(2, ns.max_weight)
+        n_max = ns.n_max
+        if n_max is None:
+            n_max = ptypical.sufficient_depth(2, ns.max_weight)
         rs = ptypical.kernel_relations(2, n_max, ns.max_weight)
         rows = []
         for w in range(1, ns.max_weight + 1):

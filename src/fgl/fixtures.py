@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import abel, bp, morava, ptypical, ratint
+from .errors import DomainError
 from .mpoly import Poly, Q
 
 
@@ -36,7 +37,7 @@ class _Cache:
         return self.get("images", lambda: ptypical.classify_v_images(2, 5, self.abel_ctx()))
 
     def kernel(self):
-        return self.get("kernel", lambda: ptypical.kernel_relations(2, 5, 33))
+        return ptypical.kernel_relations(2, 5, 33)  # memoized in ptypical
 
     def mod2(self):
         return self.get("mod2", lambda: ptypical.mod2_presentation(self.kernel()))
@@ -214,12 +215,28 @@ class ReproReport:
 
 
 def load_fixture_table(path: str | None = None) -> list[dict]:
+    """The packaged fixture table, or the JSON file at path."""
     if path is None:
         text = resources.files("fgl").joinpath("data/fixtures.json").read_text()
-    else:
+        return json.loads(text)
+    try:
         with open(path) as fh:
-            text = fh.read()
-    return json.loads(text)
+            table = json.loads(fh.read())
+    except OSError as exc:
+        raise DomainError(f"cannot read fixtures {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise DomainError(f"cannot read fixtures {path}: {exc}") from None
+    fields = {"id", "location", "expected"}
+    if not (
+        isinstance(table, list)
+        and table
+        and all(isinstance(e, dict) and fields <= e.keys() for e in table)
+    ):
+        raise DomainError(
+            f"cannot read fixtures {path}: not a non-empty list of objects with "
+            "id, location and expected"
+        )
+    return table
 
 
 def reproduce(path: str | None = None) -> ReproReport:
@@ -232,7 +249,7 @@ def reproduce(path: str | None = None) -> ReproReport:
     for entry in table:
         fid = entry["id"]
         if fid in seen:
-            raise ValueError(f"duplicate fixture id {fid}")
+            raise DomainError(f"duplicate fixture id {fid}")
         seen.add(fid)
         producer = pr.get(fid)
         computed = producer() if producer is not None else "NO PRODUCER"

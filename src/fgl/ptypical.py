@@ -10,12 +10,12 @@ three-part and closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .abel import A12, AbelContext
 from .errors import DomainError, InternalInvariantError
-from .mpoly import Poly, Powers, Q, VarTable
+from .mpoly import Poly, Powers, Q, VarTable, require_prime
 from .pseries import Series1, weighted_partitions
 from .ratint import zlocal_kernel
 
@@ -57,6 +57,7 @@ def classify_v_images(p: int, n_max: int, ctx: AbelContext | None = None) -> Cla
         image(v_n) = p*l_n - sum_(i=1)^(n-1) image(v_(n-i))^(p^i) * l_i.
 
     Every coefficient must be p-local and homogeneous of weight p^n - 1."""
+    require_prime(p)
     if n_max < 1:
         raise DomainError("need n_max >= 1")
     top_index = p**n_max - 1
@@ -113,20 +114,20 @@ class _FpSpan:
         return len(self.rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationEntry:
     weight: int
-    vector: list[int]
+    vector: tuple[int, ...]
     poly: Poly
     minimal: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightReport:
     weight: int
-    monomials: list[tuple[int, ...]]
+    monomials: tuple[tuple[int, ...], ...]
     rank: int
-    relations: list[RelationEntry] = field(default_factory=list)
+    relations: tuple[RelationEntry, ...] = ()
 
     @property
     def monomial_count(self) -> int:
@@ -166,6 +167,55 @@ def sufficient_depth(p: int, max_weight: int) -> int:
     return n
 
 
+class _GradedKernel:
+    """The kernel of the classifying map at one (p, n_max), grown weight by
+    weight.  Weight w depends only on the images and on the minimal
+    relations below w, so the kernel to weight W is the prefix of the
+    kernel to any larger weight, and one object serves every caller."""
+
+    def __init__(self, p: int, n_max: int):
+        self.p = p
+        self.vars = _v_vartable(p, n_max)
+        self.images = Powers(classify_v_images(p, n_max).images)
+        self.reports: dict[int, WeightReport] = {}
+        self.minimal_store: list[RelationEntry] = []
+
+    def extend(self, max_weight: int) -> None:
+        """Compute the weights up to max_weight not held yet.  A weight is
+        committed only once it is complete, so an exception part-way
+        leaves the weights held so far intact."""
+        p, vvars = self.p, self.vars
+        vweights = list(vvars.weights)
+        for w in range(len(self.reports) + 1, max_weight + 1):
+            monomials = sorted(weighted_partitions(w, vweights))
+            abasis = [(w - 2 * b, b) for b in range(w // 2 + 1)]
+            aindex = {ab: r for r, ab in enumerate(abasis)}
+            matrix = [[Fraction(0)] * len(monomials) for _ in abasis]
+            for col, exps in enumerate(monomials):
+                img = self.images.product(exps, Poly.const(Q, A12, 1))
+                for e, c in img.terms.items():
+                    matrix[aindex[(e[0], e[1])]][col] = c
+            kernel = zlocal_kernel(matrix, p)
+            # Nakayama: span of lower-relation multiples inside this weight
+            span = _FpSpan(p)
+            mono_index = {m: i for i, m in enumerate(monomials)}
+            for rel in self.minimal_store:
+                for _, vec in _multiples(rel, w, vvars, mono_index, p):
+                    span.add(vec)
+            entries = []
+            for vec in kernel:
+                poly = Poly(Q, vvars, {m: Fraction(c) for m, c in zip(monomials, vec) if c})
+                minimal = span.add([x % p for x in vec])
+                entries.append(RelationEntry(w, tuple(vec), poly, minimal))
+            report = WeightReport(w, tuple(monomials), len(monomials) - len(kernel), tuple(entries))
+            self.minimal_store.extend(report.minimal_relations())
+            self.reports[w] = report
+
+
+# one graded kernel per (p, n_max), shared by every caller in the process
+_KERNELS: dict[tuple[int, int], _GradedKernel] = {}
+
+
 def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
     """Weight-by-weight kernel of the classifying map.
 
@@ -174,47 +224,25 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
     relations.  A kernel generator is marked minimal iff it is nonzero in
     the F_p quotient by products of lower-weight minimal relations with
     monomials (graded Nakayama).  The Lambda-rank at weight w is
-    monomial_count - kernel_dim."""
+    monomial_count - kernel_dim.
+
+    The weights are memoized per (p, n_max) for the life of the process:
+    a call computes only the weights no earlier call reached, and the
+    reports it returns are shared, immutable objects."""
     if max_weight < 1:
         raise DomainError("need max_weight >= 1")
-    cm = classify_v_images(p, n_max)
-    vvars = _v_vartable(p, n_max)
-    vweights = list(vvars.weights)
-    images = Powers(cm.images)
-    reports: dict[int, WeightReport] = {}
-    minimal_store: list[RelationEntry] = []
-    for w in range(1, max_weight + 1):
-        monomials = sorted(weighted_partitions(w, vweights))
-        abasis = [(w - 2 * b, b) for b in range(w // 2 + 1)]
-        aindex = {ab: r for r, ab in enumerate(abasis)}
-        matrix = [[Fraction(0)] * len(monomials) for _ in abasis]
-        for col, exps in enumerate(monomials):
-            img = images.product(exps, Poly.const(Q, A12, 1))
-            for e, c in img.terms.items():
-                matrix[aindex[(e[0], e[1])]][col] = c
-        kernel = zlocal_kernel(matrix, p)
-        # Nakayama: span of lower-relation multiples inside this weight
-        span = _FpSpan(p)
-        mono_index = {m: i for i, m in enumerate(monomials)}
-        for rel in minimal_store:
-            for _, vec in _multiples(rel, w, vvars, mono_index, p):
-                span.add(vec)
-        entries = []
-        for vec in kernel:
-            poly = Poly(Q, vvars, {m: Fraction(c) for m, c in zip(monomials, vec) if c})
-            minimal = span.add([x % p for x in vec])
-            entry = RelationEntry(w, list(vec), poly, minimal)
-            entries.append(entry)
-            if minimal:
-                minimal_store.append(entry)
-        reports[w] = WeightReport(w, monomials, len(monomials) - len(kernel), entries)
+    kernel = _KERNELS.get((p, n_max))
+    if kernel is None:
+        kernel = _KERNELS[(p, n_max)] = _GradedKernel(p, n_max)
+    kernel.extend(max_weight)
+    reports = {w: kernel.reports[w] for w in range(1, max_weight + 1)}
     warning = None
-    if n_max + 1 >= 1 and p ** (n_max + 1) - 1 <= max_weight:
+    if p ** (n_max + 1) - 1 <= max_weight:
         warning = (
             f"v_{n_max + 1} has weight {p ** (n_max + 1) - 1} <= {max_weight}: "
             f"monomials beyond depth n_max={n_max} are not enumerated at the top weights"
         )
-    return RelationSet(p, n_max, max_weight, vvars, reports, warning)
+    return RelationSet(p, n_max, max_weight, kernel.vars, reports, warning)
 
 
 def _multiples(rel: RelationEntry, w: int, vvars: VarTable, mono_index, p: int):

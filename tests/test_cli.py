@@ -113,6 +113,10 @@ def test_malformed_list_is_usage_error(capsys, argv):
         "abel log --upto 0 --method product",
         "abel log --upto 0 --method uv",
         "bp coeff --prime 1 -i 1 -j 1",
+        "ptypical images --prime 4 --upto 2",
+        "ptypical images --prime 1 --upto 2",
+        "ptypical kernel --max-weight 5 --n-max 0",
+        "bp log --prime 2 --upto -1 --method closed",
     ],
     ids=[
         "wp-height-1",
@@ -132,6 +136,10 @@ def test_malformed_list_is_usage_error(capsys, argv):
         "log-product-upto-0",
         "log-uv-upto-0",
         "bp-coeff-prime-1",
+        "images-prime-4",
+        "images-prime-1",
+        "kernel-n-max-0",
+        "bp-log-closed-upto-negative",
     ],
 )
 def test_domain_error_exit_1(capsys, argv):
@@ -177,6 +185,31 @@ def test_reproduce_catches_corrupted_fixture(tmp_path, capsys):
     assert "[FAIL]" in out
     assert "expected: corrupted-on-purpose" in out
     assert "computed:" in out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json {", "{}", "[]", '[{"id": "x"}]'],
+    ids=["missing", "not-json", "not-a-list", "empty", "entry-without-expected"],
+)
+def test_reproduce_unreadable_fixtures_is_domain_error(tmp_path, capsys, content):
+    path = tmp_path / "fixtures.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, "reproduce", "--fixtures", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read fixtures {path}: ")
+    assert "Traceback" not in err
+
+
+def test_reproduce_duplicate_fixture_id_is_domain_error(tmp_path, capsys):
+    table = load_fixture_table()
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(table + table[:1]))
+    code, out, err = _run(capsys, "reproduce", "--fixtures", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: duplicate fixture id {table[0]['id']}\n"
 
 
 def test_fixture_table_ids_unique_and_covered():

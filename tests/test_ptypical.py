@@ -1,8 +1,10 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from fgl import ptypical, ratint
 from fgl.abel import A12, AbelContext
 from fgl.errors import DomainError
 from fgl.mpoly import Poly, Q, parse_poly
@@ -234,3 +236,71 @@ def test_expected_shape_monomial():
     assert str(expected_shape_monomial(21, vvars)) == "v1*v2^2*v3^2"
     assert str(expected_shape_monomial(33, vvars)) == "v1^3*v4^2"
     assert expected_shape_monomial(10, vvars) is None
+
+
+# ---------------------------------------------------------------------------
+# the per-process kernel memo
+
+
+@pytest.fixture
+def cold_kernels(monkeypatch):
+    # an empty memo for the test; the shared one comes back afterwards
+    monkeypatch.setattr(ptypical, "_KERNELS", {})
+
+
+def _kernel_fingerprint(rs, upto):
+    return {
+        w: (rs.weights[w].rank, [(r.vector, r.minimal) for r in rs.weights[w].relations])
+        for w in range(1, upto + 1)
+    }
+
+
+def test_memo_prefix_equals_cold_computation(cold_kernels):
+    cold = kernel_relations(2, 5, 33)
+    ptypical._KERNELS.clear()
+    kernel_relations(2, 5, 40)
+    warm = kernel_relations(2, 5, 33)
+    assert _kernel_fingerprint(warm, 33) == _kernel_fingerprint(cold, 33)
+    assert warm.warning == cold.warning
+    assert kernel_relations(2, 4, 33).warning is not None
+
+
+def test_memo_smaller_call_returns_only_its_weights(cold_kernels):
+    kernel_relations(2, 5, 25)
+    rs = kernel_relations(2, 5, 12)
+    assert sorted(rs.weights) == list(range(1, 13))
+    assert rs.max_weight == 12
+
+
+def test_memo_keyed_on_depth(cold_kernels):
+    shallow = kernel_relations(2, 4, 20)
+    deep = kernel_relations(2, 5, 20)
+    assert set(ptypical._KERNELS) == {(2, 4), (2, 5)}
+    assert shallow.vars != deep.vars
+    assert all(shallow.weights[w] is not deep.weights[w] for w in range(1, 21))
+
+
+def test_memo_repeat_call_does_no_kernel_work(cold_kernels, monkeypatch):
+    first = kernel_relations(2, 5, 20)
+
+    def refuse(*args):
+        raise AssertionError("kernel_basis called on a memoized weight")
+
+    monkeypatch.setattr(ratint, "kernel_basis", refuse)
+    again = kernel_relations(2, 5, 20)
+    assert all(again.weights[w] is first.weights[w] for w in range(1, 21))
+
+
+def test_memo_entries_are_frozen(cold_kernels):
+    rel = kernel_relations(2, 5, 9).weights[9].relations[0]
+    with pytest.raises(FrozenInstanceError):
+        rel.minimal = False
+    with pytest.raises(FrozenInstanceError):
+        kernel_relations(2, 5, 9).weights[9].rank = 0
+
+
+def test_non_prime_makes_no_memo_entry(cold_kernels):
+    for p in (1, 4):
+        with pytest.raises(DomainError):
+            kernel_relations(p, 2, 5)
+    assert not ptypical._KERNELS
