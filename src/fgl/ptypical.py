@@ -82,32 +82,44 @@ def classify_v_images(p: int, n_max: int, ctx: AbelContext | None = None) -> Cla
 
 
 class _FpSpan:
-    """Row-echelon span over F_p with deterministic pivoting."""
+    """Row-echelon span over F_p with deterministic pivoting.  Over F_2 a
+    vector is held as the bitmask of its odd entries under its lowest bit,
+    so reducing by a row is one XOR."""
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: dict[int, list[int]] = {}  # pivot index -> reduced vector
+        self.rows: dict[int, list[int] | int] = {}  # pivot -> reduced vector
 
-    def reduce(self, vec: list[int]) -> list[int]:
+    def _reduce(self, vec: list[int]) -> tuple[int, list[int] | int] | None:
+        """(pivot, row) for vec reduced by the rows; None if it lies in the span."""
+        rows = self.rows
+        if self.p == 2:
+            mask = sum(1 << i for i, x in enumerate(vec) if x % 2)
+            while mask and (row := rows.get(mask & -mask)) is not None:
+                mask ^= row
+            return (mask & -mask, mask) if mask else None
         vec = [x % self.p for x in vec]
-        for piv in sorted(self.rows):
+        for piv in sorted(rows):
             if vec[piv]:
-                row = self.rows[piv]
+                row = rows[piv]
                 c = vec[piv]
                 vec = [(a - c * b) % self.p for a, b in zip(vec, row)]
-        return vec
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return None
+        inv = pow(vec[piv], -1, self.p)
+        return piv, [(x * inv) % self.p for x in vec]
 
     def contains(self, vec: list[int]) -> bool:
-        return not any(self.reduce(vec))
+        return self._reduce(vec) is None
 
     def add(self, vec: list[int]) -> bool:
         """Insert vec; returns True if it enlarged the span."""
-        vec = self.reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
+        reduced = self._reduce(vec)
+        if reduced is None:
             return False
-        inv = pow(vec[piv], -1, self.p)
-        self.rows[piv] = [(x * inv) % self.p for x in vec]
+        piv, row = reduced
+        self.rows[piv] = row
         return True
 
     def dim(self) -> int:
@@ -204,7 +216,7 @@ class _GradedKernel:
                     span.add(vec)
             entries = []
             for vec in kernel:
-                poly = Poly(Q, vvars, {m: Fraction(c) for m, c in zip(monomials, vec) if c})
+                poly = Poly._make(Q, vvars, {m: c for m, c in zip(monomials, vec) if c})
                 minimal = span.add([x % p for x in vec])
                 entries.append(RelationEntry(w, tuple(vec), poly, minimal))
             report = WeightReport(w, tuple(monomials), len(monomials) - len(kernel), tuple(entries))

@@ -1,3 +1,4 @@
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
@@ -304,3 +305,33 @@ def test_non_prime_makes_no_memo_entry(cold_kernels):
         with pytest.raises(DomainError):
             kernel_relations(p, 2, 5)
     assert not ptypical._KERNELS
+
+
+def _rank_mod_p(vectors, p):
+    rows, rank = [[x % p for x in v] for v in vectors], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fp_span_add_and_contains_follow_the_rank(p):
+    rng = random.Random(p)
+    for _ in range(20):
+        span, added = ptypical._FpSpan(p), []
+        for _ in range(12):
+            vec = [rng.choice([0, 0, 1, -1, 2, 5]) for _ in range(9)]
+            grows = _rank_mod_p(added + [vec], p) > _rank_mod_p(added, p)
+            assert span.contains(vec) is not grows
+            assert span.add(vec) is grows
+            assert span.contains(vec)
+            added.append(vec)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -67,6 +68,49 @@ def test_kernel_basis_simple():
     assert kernel_basis(m) == [[1, -1]]
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert kernel_basis(m) == []
+
+
+def _list_kernel_basis(m: IntMatrix) -> list[list[int]]:
+    """The row operations of kernel_basis on plain lists of ints."""
+    r, c = m.rows, m.cols
+    work = [[m.entries[i * c + j] for i in range(r)] + [int(t == j) for t in range(c)]
+            for j in range(c)]
+    pivot_row = 0
+    for col in range(r):
+        while True:
+            nz = [i for i in range(pivot_row, c) if work[i][col] != 0]
+            if not nz:
+                break
+            i_min = min(nz, key=lambda i: abs(work[i][col]))
+            work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
+            done = True
+            piv = work[pivot_row][col]
+            for i in range(pivot_row + 1, c):
+                if work[i][col] != 0:
+                    q = work[i][col] // piv
+                    work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+                    if work[i][col] != 0:
+                        done = False
+            if done:
+                pivot_row += 1
+                break
+    basis = [row[r:] for row in work[pivot_row:] if all(x == 0 for x in row[:r])]
+    return [[-x for x in v] if next((x for x in v if x), 0) < 0 else v for v in basis]
+
+
+def test_kernel_basis_matches_list_elimination():
+    # entries from 1 to about 300 bits, so the packed rows widen several times
+    rng = random.Random(2024)
+    for _ in range(60):
+        r, c = rng.randint(0, 8), rng.randint(0, 18)
+        size = rng.choice([3, 2**40, 2**300])
+        rows = [[rng.randint(-size, size) if rng.random() < 0.7 else 0 for _ in range(c)]
+                for _ in range(r)]
+        m = IntMatrix.from_rows(rows) if r else IntMatrix(0, c, ())
+        basis = kernel_basis(m)
+        assert basis == _list_kernel_basis(m), (r, c, size)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
 def test_zlocal_kernel_examples():
