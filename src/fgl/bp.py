@@ -113,8 +113,9 @@ def bp_summand_count(p: int, n: int) -> int:
     return sum(1 for _ in _compositions(n))
 
 
-def _depth_for(p: int, w: int) -> int:
-    """Largest r with p^r - 1 <= w, at least 1; p must be a prime."""
+def sufficient_depth(p: int, w: int) -> int:
+    """Smallest depth whose generators cover every weight <= w: the largest
+    r with p^r - 1 <= w, at least 1; p must be a prime."""
     require_prime(p)
     r = 1
     while p ** (r + 1) - 1 <= w:
@@ -134,7 +135,7 @@ def bp_fgl_coeff(p: int, i: int, j: int) -> Poly:
     """
     if i < 1 or j < 1:
         raise DomainError("need i, j >= 1")
-    depth = _depth_for(p, i + j - 1)
+    depth = sufficient_depth(p, i + j - 1)
     ctx = _context(p, depth)
     if (i + j - 1) % (p - 1) != 0:
         return Poly.zero(Q, ctx.vars)
@@ -154,7 +155,7 @@ def bp_fgl_series(p: int, N: int):
     built from the logarithm (series route, used as the oracle)."""
     from .pseries import fgl_from_log
 
-    depth = _depth_for(p, N)
+    depth = sufficient_depth(p, N)
     ctx = _context(p, max(depth, 1))
     return fgl_from_log(ctx.log_series(N), N)
 
@@ -164,7 +165,7 @@ def bp_fgl_table(p: int, N: int):
     the closed multinomial formula."""
     from .pseries import FGLTable
 
-    depth = _depth_for(p, max(N - 1, 1))
+    depth = sufficient_depth(p, max(N - 1, 1))
     ctx = _context(p, depth)
     embed = {f"v{r}": ctx.v(r) for r in range(1, depth + 1)}
 

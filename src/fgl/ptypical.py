@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .abel import A12, AbelContext
 from .errors import DomainError, InternalInvariantError
-from .mpoly import Poly, Powers, Q, VarTable, require_prime
+from .bp import bp_vartable, sufficient_depth
+from .mpoly import Poly, Powers, Q, VarTable, parse_poly, require_prime
 from .pseries import Series1, weighted_partitions
 from .ratint import zlocal_kernel
 
@@ -82,48 +83,65 @@ def classify_v_images(p: int, n_max: int, ctx: AbelContext | None = None) -> Cla
 
 
 class _FpSpan:
-    """Row-echelon span over F_p with deterministic pivoting.  Over F_2 a
-    vector is held as the bitmask of its odd entries under its lowest bit,
-    so reducing by a row is one XOR."""
+    """Row-echelon span over F_p with deterministic pivoting; each row keeps
+    its provenance, the combination of inserted vectors it equals.  Over F_2
+    a row is the bitmask of its odd entries under its lowest bit and its
+    provenance a bitmask over insertion order, so a reduction step is two
+    XORs; over odd p they are a list and a dict {insertion index: coeff}."""
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: dict[int, list[int] | int] = {}  # pivot -> reduced vector
+        self.rows: dict[int, tuple] = {}  # pivot -> (reduced vector, provenance)
+        self.inserted = 0
 
-    def _reduce(self, vec: list[int]) -> tuple[int, list[int] | int] | None:
-        """(pivot, row) for vec reduced by the rows; None if it lies in the span."""
-        rows = self.rows
-        if self.p == 2:
+    def _reduce(self, vec, src):
+        """(pivot, row, provenance) for vec reduced by the rows, with src the
+        provenance of vec; the pivot is None if vec lies in the span."""
+        rows, p = self.rows, self.p
+        if p == 2:
             mask = sum(1 << i for i, x in enumerate(vec) if x % 2)
             while mask and (row := rows.get(mask & -mask)) is not None:
-                mask ^= row
-            return (mask & -mask, mask) if mask else None
-        vec = [x % self.p for x in vec]
+                mask ^= row[0]
+                src ^= row[1]
+            return (mask & -mask if mask else None), mask, src
+        vec = [x % p for x in vec]
         for piv in sorted(rows):
-            if vec[piv]:
-                row = rows[piv]
-                c = vec[piv]
-                vec = [(a - c * b) % self.p for a, b in zip(vec, row)]
+            if c := vec[piv]:
+                row, row_src = rows[piv]
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                for k, b in row_src.items():
+                    src[k] = (src.get(k, 0) - c * b) % p
         piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return None
-        inv = pow(vec[piv], -1, self.p)
-        return piv, [(x * inv) % self.p for x in vec]
+        if piv is not None:
+            inv = pow(vec[piv], -1, p)
+            vec = [x * inv % p for x in vec]
+            src = {k: b * inv % p for k, b in src.items()}
+        return piv, vec, src
 
-    def contains(self, vec: list[int]) -> bool:
-        return self._reduce(vec) is None
-
-    def add(self, vec: list[int]) -> bool:
+    def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the span."""
-        reduced = self._reduce(vec)
-        if reduced is None:
+        k = self.inserted
+        self.inserted += 1
+        piv, row, src = self._reduce(vec, 1 << k if self.p == 2 else {k: 1})
+        if piv is None:
             return False
-        piv, row = reduced
-        self.rows[piv] = row
+        self.rows[piv] = (row, src)
         return True
 
-    def dim(self) -> int:
-        return len(self.rows)
+    def combination(self, vec) -> list[int] | None:
+        """Coefficients c, one per inserted vector in insertion order, with
+        vec = sum c_k * (k-th inserted vector) mod p; None if vec is not in
+        the span.  Only vectors that enlarged the span get nonzero c_k."""
+        piv, _, src = self._reduce(vec, 0 if self.p == 2 else {})
+        if piv is not None:
+            return None
+        if self.p == 2:
+            return [src >> k & 1 for k in range(self.inserted)]
+        # reduced to 0: vec + sum src_k * inserted_k = 0
+        return [-src.get(k, 0) % self.p for k in range(self.inserted)]
+
+    def contains(self, vec) -> bool:
+        return self.combination(vec) is not None
 
 
 @dataclass(frozen=True)
@@ -166,19 +184,6 @@ class RelationSet:
         return {w: rep.minimal_relations() for w, rep in self.weights.items() if rep.minimal_relations()}
 
 
-def _v_vartable(p: int, n_max: int) -> VarTable:
-    return VarTable([(f"v{k}", p**k - 1) for k in range(1, n_max + 1)])
-
-
-def sufficient_depth(p: int, max_weight: int) -> int:
-    """Smallest depth whose generators cover every weight <= max_weight:
-    the largest n with p^n - 1 <= max_weight (at least 1)."""
-    n = 1
-    while p ** (n + 1) - 1 <= max_weight:
-        n += 1
-    return n
-
-
 class _GradedKernel:
     """The kernel of the classifying map at one (p, n_max), grown weight by
     weight.  Weight w depends only on the images and on the minimal
@@ -187,7 +192,7 @@ class _GradedKernel:
 
     def __init__(self, p: int, n_max: int):
         self.p = p
-        self.vars = _v_vartable(p, n_max)
+        self.vars = bp_vartable(p, n_max)
         self.images = Powers(classify_v_images(p, n_max).images)
         self.reports: dict[int, WeightReport] = {}
         self.minimal_store: list[RelationEntry] = []
@@ -209,15 +214,11 @@ class _GradedKernel:
                     matrix[aindex[(e[0], e[1])]][col] = c
             kernel = zlocal_kernel(matrix, p)
             # Nakayama: span of lower-relation multiples inside this weight
-            span = _FpSpan(p)
-            mono_index = {m: i for i, m in enumerate(monomials)}
-            for rel in self.minimal_store:
-                for _, vec in _multiples(rel, w, vvars, mono_index, p):
-                    span.add(vec)
+            span, _ = _multiples_span(self.minimal_store, w, vvars, monomials, p)
             entries = []
             for vec in kernel:
                 poly = Poly._make(Q, vvars, {m: c for m, c in zip(monomials, vec) if c})
-                minimal = span.add([x % p for x in vec])
+                minimal = span.add(vec)
                 entries.append(RelationEntry(w, tuple(vec), poly, minimal))
             report = WeightReport(w, tuple(monomials), len(monomials) - len(kernel), tuple(entries))
             self.minimal_store.extend(report.minimal_relations())
@@ -226,6 +227,13 @@ class _GradedKernel:
 
 # one graded kernel per (p, n_max), shared by every caller in the process
 _KERNELS: dict[tuple[int, int], _GradedKernel] = {}
+
+
+def _kernel(p: int, n_max: int) -> _GradedKernel:
+    kernel = _KERNELS.get((p, n_max))
+    if kernel is None:
+        kernel = _KERNELS[(p, n_max)] = _GradedKernel(p, n_max)
+    return kernel
 
 
 def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
@@ -243,9 +251,7 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
     reports it returns are shared, immutable objects."""
     if max_weight < 1:
         raise DomainError("need max_weight >= 1")
-    kernel = _KERNELS.get((p, n_max))
-    if kernel is None:
-        kernel = _KERNELS[(p, n_max)] = _GradedKernel(p, n_max)
+    kernel = _kernel(p, n_max)
     kernel.extend(max_weight)
     reports = {w: kernel.reports[w] for w in range(1, max_weight + 1)}
     warning = None
@@ -257,17 +263,29 @@ def kernel_relations(p: int, n_max: int, max_weight: int) -> RelationSet:
     return RelationSet(p, n_max, max_weight, kernel.vars, reports, warning)
 
 
-def _multiples(rel: RelationEntry, w: int, vvars: VarTable, mono_index, p: int):
-    """Yield (cofactor, vector mod p) for the multiples of rel by the
-    monomial cofactors of weight w - rel.weight, cofactors in sorted order;
-    the vector holds rel * cofactor over the weight-w monomials of mono_index."""
-    residues = [(e, int(c) % p) for e, c in rel.poly.terms.items()]
-    for cof in sorted(weighted_partitions(w - rel.weight, list(vvars.weights))):
-        vec = [0] * len(mono_index)
-        for e, r in residues:
-            # times a monomial: exponents add, coefficients stay
-            vec[mono_index[tuple(a + b for a, b in zip(e, cof))]] = r
-        yield cof, vec
+def _multiples_span(rels, w: int, vvars: VarTable, monomials, p: int):
+    """The F_p span of the multiples of each of rels by the monomial
+    cofactors of weight w - rel.weight, as vectors over the weight-w
+    monomials; inserted relation by relation, cofactors in sorted order.
+    Returns the span and the (relation, cofactor) of each insertion."""
+    mono_index = {m: i for i, m in enumerate(monomials)}
+    span, sources = _FpSpan(p), []
+    for rel in rels:
+        residues = rel.poly.reduce_mod_p(p).num.items()
+        for cof in sorted(weighted_partitions(w - rel.weight, list(vvars.weights))):
+            vec = [0] * len(monomials)
+            for e, r in residues:
+                # times a monomial: exponents add, coefficients stay
+                vec[mono_index[tuple(a + b for a, b in zip(e, cof))]] = r
+            span.add(vec)
+            sources.append((rel, cof))
+    return span, sources
+
+
+def _vector(poly: Poly, monomials, p: int) -> list[int]:
+    """poly mod p as a vector over the given monomials."""
+    red = poly.reduce_mod_p(p).num
+    return [red.get(m, 0) for m in monomials]
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +317,35 @@ class Mod2Check:
         )
 
 
+@dataclass(frozen=True)
+class RelationTerm:
+    """Relation number `index` of minimal_by_weight()[weight] times the
+    v-monomial with exponents `cofactor`."""
+
+    weight: int
+    index: int
+    cofactor: tuple[int, ...]
+
+    def label(self, vvars: VarTable) -> str:
+        return f"(relation at weight {self.weight}) * {Poly(Q, vvars, {self.cofactor: 1})}"
+
+
+@dataclass(frozen=True)
+class V1Multiple:
+    """The v-monomial with exponents `exps`, a multiple of v1."""
+
+    exps: tuple[int, ...]
+
+    def label(self, vvars: VarTable) -> str:
+        return f"v1-multiple {Poly(Q, vvars, {self.exps: 1})}"
+
+
 @dataclass
 class Mod2Report:
     checks: list[Mod2Check]
     unexpected_weights: list[int]  # weights with new minimal generators not displayed
     witness_ok: bool
+    witness: list[RelationTerm | V1Multiple] | None  # v2^7 certificate, None if none found
     witness_parts: list[str]
     reductions: dict[int, list[Poly]]  # minimal generators reduced mod 2
 
@@ -320,120 +362,84 @@ def mod2_presentation(rs: RelationSet) -> Mod2Report:
     if rs.p != 2:
         raise DomainError("the presentation is computed at p = 2")
     vvars = rs.vars
-    reductions = {
-        w: [r.poly.reduce_mod_p(2) for r in entries]
-        for w, entries in rs.minimal_by_weight().items()
-    }
+    minimal = rs.minimal_by_weight()
+    reductions = {w: [r.poly.reduce_mod_p(2) for r in entries] for w, entries in minimal.items()}
     checks = []
-    unexpected = [
-        w for w in sorted(reductions) if w not in MOD2_DISPLAYED and reductions[w]
-    ]
-    from .mpoly import parse_poly
-
+    unexpected = [w for w in sorted(reductions) if w not in MOD2_DISPLAYED]
     for w, text in MOD2_DISPLAYED.items():
         if w > rs.max_weight:
             continue
         displayed = parse_poly(text, Q, vvars)
         rep = rs.weights[w]
-        mono_index = {m: i for i, m in enumerate(rep.monomials)}
-
-        def to_vec(poly: Poly) -> list[int]:
-            vec = [0] * len(rep.monomials)
-            for e, c in poly.terms.items():
-                vec[mono_index[e]] = int(c) % 2
-            return vec
-
-        lower = _FpSpan(2)
-        _fill_lower_span(rs, w, lower, mono_index)
+        target = _vector(displayed, rep.monomials, 2)
+        lower_rels = [r for w2, entries in minimal.items() if w2 < w for r in entries]
+        lower, _ = _multiples_span(lower_rels, w, vvars, rep.monomials, 2)
         kernel_span = _FpSpan(2)
         for entry in rep.relations:
-            kernel_span.add(to_vec(entry.poly))
+            kernel_span.add(entry.vector)
         new_count = sum(1 for e in rep.relations if e.minimal)
-        checks.append(
-            Mod2Check(
-                w,
-                displayed.reduce_mod_p(2),
-                new_count,
-                kernel_span.contains(to_vec(displayed)),
-                not lower.contains(to_vec(displayed)),
-            )
-        )
-    witness_ok, witness_parts = _nonregularity_witness(rs)
-    return Mod2Report(checks, unexpected, witness_ok, witness_parts, reductions)
+        in_kernel, in_lower = kernel_span.contains(target), lower.contains(target)
+        checks.append(Mod2Check(w, displayed.reduce_mod_p(2), new_count, in_kernel, not in_lower))
+    witness, parts = _nonregularity_witness(rs)
+    witness_ok = witness is not None and verify_witness(rs, witness)
+    return Mod2Report(checks, unexpected, witness_ok, witness, parts, reductions)
 
 
-def _fill_lower_span(rs: RelationSet, w: int, span: _FpSpan, mono_index) -> None:
-    for w2, entries in rs.minimal_by_weight().items():
-        if w2 >= w:
-            continue
-        for rel in entries:
-            for _, vec in _multiples(rel, w, rs.vars, mono_index, 2):
-                span.add(vec)
-
-
-def _nonregularity_witness(rs: RelationSet) -> tuple[bool, list[str]]:
-    """Solve v2^7 = v1*h + sum (relation multiples) over F_2 at weight 21 and
-    return the explicit combination."""
+def _nonregularity_witness(rs: RelationSet):
+    """Solve v2^7 = v1*h + sum (relation multiples) over F_2 at weight 21:
+    (certificate, its labels), or (None, [why not]).  The generators are the
+    relation multiples, relation by relation, then the v1-multiples, each
+    in sorted order; only generators independent of the ones before them
+    enter the combination."""
     if 21 not in rs.weights:
-        return False, ["weight 21 not computed"]
+        return None, ["weight 21 not computed"]
     vvars = rs.vars
-    rep = rs.weights[21]
-    mono_index = {m: i for i, m in enumerate(rep.monomials)}
-    dim = len(rep.monomials)
-    generators: list[tuple[str, list[int]]] = []
-    for w2, entries in rs.minimal_by_weight().items():
-        if w2 > 21:
-            continue
-        for rel in entries:
-            for cof, vec in _multiples(rel, 21, vvars, mono_index, 2):
-                cof_poly = Poly(Q, vvars, {cof: Fraction(1)})
-                generators.append((f"(relation at weight {w2}) * {cof_poly}", vec))
-    v1_index = vvars.index("v1")
-    for m in rep.monomials:
-        if m[v1_index] >= 1:
-            vec = [0] * dim
-            vec[mono_index[m]] = 1
-            generators.append((f"v1-multiple {Poly(Q, vvars, {m: Fraction(1)})}", vec))
-    target = [0] * dim
-    v2_index = vvars.index("v2")
-    v2_7 = tuple(7 if i == v2_index else 0 for i in range(len(vvars)))
-    target[mono_index[v2_7]] = 1
-    ok, labels = _solve_f2_combination(generators, target)
-    if not ok:
-        return False, ["v2^7 is not in (v1) + relations at weight 21"]
-    return True, labels
+    monomials = rs.weights[21].monomials
+    minimal = rs.minimal_by_weight()
+    rels = [r for w2, entries in minimal.items() if w2 <= 21 for r in entries]
+    span, sources = _multiples_span(rels, 21, vvars, monomials, 2)
+    terms = [RelationTerm(r.weight, minimal[r.weight].index(r), cof) for r, cof in sources]
+    v1 = vvars.index("v1")
+    for m in monomials:
+        if m[v1]:
+            span.add([int(x == m) for x in monomials])
+            terms.append(V1Multiple(m))
+    combo = span.combination(_vector(Poly.monomial(Q, vvars, 1, {"v2": 7}), monomials, 2))
+    if combo is None:
+        return None, ["v2^7 is not in (v1) + relations at weight 21"]
+    witness = [term for term, c in zip(terms, combo) if c]
+    return witness, [term.label(vvars) for term in witness]
 
 
-def _solve_f2_combination(generators, target):
-    dim = len(target)
-    cols = len(generators)
-    rows = [[generators[c][1][r] for c in range(cols)] for r in range(dim)]
-    aug = [row + [target[r]] for r, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, dim) if aug[i][c] % 2), None)
-        if piv is None:
+def verify_witness(rs: RelationSet, witness: list[RelationTerm | V1Multiple]) -> bool:
+    """Check a certificate that v2^7 lies in (v1) + relations mod 2 by Poly
+    arithmetic alone: every cited relation maps to 0 under the classifying
+    map, every v1-multiple is a monomial divisible by v1, and the relation
+    multiples plus the v1-multiples minus v2^7 reduce to 0 mod 2."""
+    vvars = rs.vars
+    images = _kernel(rs.p, rs.n_max).images.bases  # classify_v_images(p, n_max)
+    bindings = dict(zip(vvars.names, images))
+    minimal = rs.minimal_by_weight()
+    v1 = vvars.index("v1")
+    total = -Poly.monomial(Q, vvars, 1, {"v2": 7})
+    for term in witness:
+        exps = term.exps if isinstance(term, V1Multiple) else term.cofactor
+        if len(exps) != len(vvars) or min(exps) < 0:
+            return False
+        monomial = Poly(Q, vvars, {exps: 1})
+        if isinstance(term, V1Multiple):
+            if not exps[v1]:
+                return False
+            total = total + monomial
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(dim):
-            if i != r and aug[i][c] % 2:
-                aug[i] = [(a + b) % 2 for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if aug[i][cols] % 2:
-            return False, ["no F_2 combination exists"]
-    sol = [0] * cols
-    for row_i, c in enumerate(piv_cols):
-        sol[c] = aug[row_i][cols] % 2
-    labels = [generators[c][0] for c in range(cols) if sol[c]]
-    # verify
-    total = [0] * dim
-    for c in range(cols):
-        if sol[c]:
-            total = [(a + b) % 2 for a, b in zip(total, generators[c][1])]
-    return total == target, labels
+        entries = minimal.get(term.weight, [])
+        if not 0 <= term.index < len(entries):
+            return False
+        rel = entries[term.index].poly
+        if not rel.substitute(bindings).is_zero():
+            return False
+        total = total + rel * monomial
+    return total.reduce_mod_p(2).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +455,6 @@ class GenFun:
 
     def coeff(self, n: int) -> int:
         return self.coeffs[n]
-
-    def __eq__(self, other):
-        return isinstance(other, GenFun) and self.T == other.T and self.coeffs == other.coeffs
 
     def render(self, topological: bool = False) -> str:
         parts = []
@@ -495,6 +498,10 @@ def _iser_one_plus(k: int, T: int) -> list[int]:
     return out
 
 
+def _iser_t_plus_t2(T: int) -> list[int]:
+    return [int(n in (1, 2)) for n in range(T + 1)]
+
+
 def _weights_upto(T: int) -> list[int]:
     """2^n - 1 for n >= 2 with 2^n - 1 <= T."""
     if T < 0:
@@ -521,11 +528,6 @@ def genfun_parts(T: int) -> tuple[GenFun, GenFun, GenFun]:
     part_a = one
     for k in ws:
         part_a = _iser_mul(part_a, _iser_geom(k, T), T)
-    t_plus_t2 = [0] * (T + 1)
-    if T >= 1:
-        t_plus_t2[1] = 1
-    if T >= 2:
-        t_plus_t2[2] = 1
     rows = [0] * (T + 1)
     for j_weight in ws:
         if 2 * j_weight > T:
@@ -535,7 +537,7 @@ def genfun_parts(T: int) -> tuple[GenFun, GenFun, GenFun]:
             if k != j_weight:
                 row = _iser_mul(row, _iser_one_plus(k, T), T)
         rows = [a + b for a, b in zip(rows, row)]
-    part_b = _iser_mul(t_plus_t2, rows, T)
+    part_b = _iser_mul(_iser_t_plus_t2(T), rows, T)
     part_c = _iser_geom(1, T, start=1)
     for k in ws:
         part_c = _iser_mul(part_c, _iser_one_plus(k, T), T)
@@ -559,12 +561,7 @@ def genfun_closed(T: int) -> GenFun:
     for k in ws:
         tail = _iser_geom(2 * k, T, start=1)
         inner_sum = [a + b for a, b in zip(inner_sum, tail)]
-    t_plus_t2 = [0] * (T + 1)
-    if T >= 1:
-        t_plus_t2[1] = 1
-    if T >= 2:
-        t_plus_t2[2] = 1
-    second = _iser_mul(t_plus_t2, inner_sum, T)
+    second = _iser_mul(_iser_t_plus_t2(T), inner_sum, T)
     total = _iser_mul(common, [a + b for a, b in zip(first, second)], T)
     return GenFun(T, total)
 

@@ -3,8 +3,9 @@
 ``perfbench/goldens.json`` pins the sha256 and size of every benchmark
 task's output.  This replays the cheap part of it in one process: every
 ``paper`` workload command through the CLI, every Ravenel cell of
-``deep_modp``, and the rational-oracle cells and the two smallest Abel
-inverse cells of ``deep_q``.  ``fgl --format json reproduce`` also runs once
+``deep_modp``, the rational-oracle cells and the two smallest Abel
+inverse cells of ``deep_q``, and the ``deep_kernel`` mod-2 presentation
+cell, whose text pins the v2^7 witness labels.  ``fgl --format json reproduce`` also runs once
 in a fresh interpreter with a fixed hash seed, so that an output depending
 on set or dict-of-str order shows.  The goldens file is only read.
 """
@@ -63,6 +64,7 @@ def test_ravenel_cell_matches_golden(key):
 LIBRARY = sorted(key for key in GOLDENS if key.startswith("morava_oracle:")) + [
     "abel_inverse:20",
     "abel_inverse:22",
+    "mod2_presentation:",
 ]
 
 
@@ -70,7 +72,7 @@ LIBRARY = sorted(key for key in GOLDENS if key.startswith("morava_oracle:")) + [
 def test_library_cell_matches_golden(key):
     family, params = key.split(":")
     golden = GOLDENS[key]
-    text, size = getattr(tasks, family)(*(int(v) for v in params.split(",")))
+    text, size = getattr(tasks, family)(*(int(v) for v in params.split(",") if v))
     assert (size, _digest(text)) == (golden["size"], golden["sha256"])
 
 

@@ -1,5 +1,5 @@
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -147,10 +147,32 @@ def test_depth_warning_when_too_shallow():
     assert rs.warning is not None  # v5 has weight 31 <= 33
 
 
-def test_rank_additivity():
+def test_rank_matches_image_matrix_rank_mod_large_prime():
+    # a route to the rank independent of the kernel: the images of the
+    # weight-w v-monomials as vectors over the a1^i a2^j basis, ranked mod q
+    # (a rank mod q can only fall below the rank over Q)
+    rs, q = _kernel33(), 2**61 - 1
+    images = classify_v_images(2, rs.n_max).images
+    for w, rep in rs.weights.items():
+        abasis = [(w - 2 * b, b) for b in range(w // 2 + 1)]
+        vectors = []
+        for exps in rep.monomials:
+            img = Poly.const(Q, A12, 1)
+            for image, e in zip(images, exps):
+                if e:
+                    img = img * image**e
+            inv = pow(img.den, -1, q)
+            vectors.append([img.num.get(ab, 0) * inv % q for ab in abasis])
+        assert _rank_mod_p(vectors, q) == rep.rank == rep.monomial_count - rep.kernel_dim, w
+
+
+def test_kernel_bases_are_saturated():
+    # a Z_(2)-lattice basis spans a saturated lattice iff it stays
+    # independent mod 2
     rs = _kernel33()
     for w, rep in rs.weights.items():
-        assert rep.monomial_count == rep.rank + rep.kernel_dim, w
+        vectors = [r.vector for r in rep.relations]
+        assert _rank_mod_p(vectors, 2) == len(vectors), w
 
 
 def test_mod2_presentation():
@@ -163,6 +185,70 @@ def test_mod2_presentation():
     assert rep.witness_ok
     assert rep.witness_parts  # the explicit combination is exhibited
     assert rep.ok
+
+
+def test_witness_certificate_and_its_labels():
+    rs = _kernel33()
+    rep = mod2_presentation(rs)
+
+    def mono(**exps):
+        return tuple(exps.get(name, 0) for name in rs.vars.names)
+
+    assert rep.witness == [
+        ptypical.RelationTerm(9, 0, mono(v2=4)),
+        ptypical.RelationTerm(9, 0, mono(v1=5, v3=1)),
+        ptypical.RelationTerm(17, 0, mono(v1=4)),
+        ptypical.RelationTerm(21, 0, mono()),
+        ptypical.V1Multiple(mono(v1=1, v2=2, v3=2)),
+        ptypical.V1Multiple(mono(v1=2, v2=4, v3=1)),
+    ]
+    assert rep.witness_parts == [
+        "(relation at weight 9) * v2^4",
+        "(relation at weight 9) * v1^5*v3",
+        "(relation at weight 17) * v1^4",
+        "(relation at weight 21) * 1",
+        "v1-multiple v1*v2^2*v3^2",
+        "v1-multiple v1^2*v2^4*v3",
+    ]
+    assert ptypical.verify_witness(rs, rep.witness)
+
+
+def _edited(witness, i, **changes):
+    return witness[:i] + [replace(witness[i], **changes)] + witness[i + 1 :]
+
+
+def _bumped(exps, i, by):
+    return tuple(e + by if j == i else e for j, e in enumerate(exps))
+
+
+def test_verify_witness_rejects_each_edit():
+    rs = _kernel33()
+    witness = mod2_presentation(rs).witness
+    v1, v2 = rs.vars.index("v1"), rs.vars.index("v2")
+    edits = {
+        "cofactor exponent": _edited(witness, 0, cofactor=_bumped(witness[0].cofactor, v2, 1)),
+        "relation index": _edited(witness, 2, index=1),
+        "relation weight": _edited(witness, 2, weight=9),
+        "v1-multiple without v1": _edited(witness, 4, exps=_bumped(witness[4].exps, v1, -1)),
+        # sums to v2^7 exactly; only the v1 test can reject it
+        "v2^7 posing as a v1-multiple": [ptypical.V1Multiple(_bumped((0,) * len(rs.vars), v2, 7))],
+    }
+    for i in range(len(witness)):
+        edits[f"term {i} dropped"] = witness[:i] + witness[i + 1 :]
+    for what, bad in edits.items():
+        assert not ptypical.verify_witness(rs, bad), what
+
+
+def test_verify_witness_rejects_a_relation_outside_the_kernel():
+    # weight 9's minimal relation plus 2*v1^3*v2^2: the same mod 2, so only
+    # the check that every cited relation maps to zero can reject it
+    rs = _kernel33()
+    witness = mod2_presentation(rs).witness
+    rel = rs.weights[9].relations[0]
+    fake = replace(rel, poly=rel.poly + parse_poly("2*v1^3*v2^2", Q, rs.vars))
+    forged = replace(rs, weights={**rs.weights, 9: replace(rs.weights[9], relations=(fake,))})
+    assert ptypical.verify_witness(rs, witness)
+    assert not ptypical.verify_witness(forged, witness)
 
 
 def test_genfun_parts_low_coefficients():
@@ -333,5 +419,9 @@ def test_fp_span_add_and_contains_follow_the_rank(p):
             grows = _rank_mod_p(added + [vec], p) > _rank_mod_p(added, p)
             assert span.contains(vec) is not grows
             assert span.add(vec) is grows
-            assert span.contains(vec)
             added.append(vec)
+            # provenance: vec as a combination of the inserted vectors
+            combo = span.combination(vec)
+            assert len(combo) == len(added)
+            total = [sum(c * v[i] for c, v in zip(combo, added)) % p for i in range(9)]
+            assert total == [x % p for x in vec]
